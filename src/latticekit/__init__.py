@@ -10,7 +10,6 @@ probe so the advertised bounds can be checked empirically.
 
 from .decomposition import (
     BlockDecomposition,
-    DecompositionParams,
     DecompositionTree,
     SubblockEntry,
     block_decompose,
@@ -76,7 +75,7 @@ __all__ = [
     "ClosureMatrix", "LatticeViolation", "NotALatticeError",
     "transitive_closure", "oracle_meet", "oracle_join", "is_partial_lattice",
     "sublattice_violation",
-    "DecompositionParams", "BlockDecomposition", "SubblockEntry",
+    "BlockDecomposition", "SubblockEntry",
     "DecompositionTree", "block_decompose", "subblock_decompose",
     "cover_decompose", "build_decomposition_tree", "dump_blocks",
     "verify_block_decomposition",

@@ -105,6 +105,8 @@ def _build_structure(g: trg.TRG, structure: str, c: float):
         return degree_index.build_simple_join_index(g)
     if structure == "recursive":
         return degree_index.build_recursive_join_index(g)
+    if structure == "order":
+        return build_order_index(g)
     raise ValueError(f"unknown structure {structure!r}")
 
 
@@ -114,14 +116,6 @@ def cmd_build_info(args) -> int:
     except (OSError, trg.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.structure == "order":
-        idx = build_order_index(g)
-        print(f"n                 {g.n}")
-        print(f"blocks            {idx.bd.m}")
-        print(f"header-meet cells {idx.bd.m * g.n}")
-        print(f"downset entries   {idx.down_entries}")
-        print(f"build edge visits {idx.build_edge_visits}")
-        return 0
     idx = _build_structure(g, args.structure, args.c)
     for line in space_report(idx).lines():
         print(line)
@@ -245,6 +239,10 @@ def cmd_bench(args) -> int:
     for fam in families:
         if fam not in FAMILIES:
             print(f"error: unknown family {fam!r}", file=sys.stderr)
+            return 2
+    for structure in structures:
+        if structure not in ("blocked", "simple", "recursive"):
+            print(f"error: bench has no structure {structure!r}", file=sys.stderr)
             return 2
     # c only matters for the blocked structure; other structures run once
     tasks = []

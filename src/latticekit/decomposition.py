@@ -18,84 +18,102 @@ header, taken in ascending id order.  The block containing the chunk's own
 header is attached as a "self block" child, which keeps node degrees at
 most d+1 while chunk sizes shrink by a factor d every two levels.  Chunks
 smaller than 2d stop the recursion and store their elements as leaf lists.
+
+Every downward walk of the builds is :func:`_walk`; work inside a block,
+subblock or chunk runs on its induced subgraph (:func:`_induced`), so no
+walk tests membership.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .metrics import ceil_log, ceil_sqrt
 from .trg import TRG, LinearExtension, downset, linear_extension, with_top
 
 
-@dataclass
-class DecompositionParams:
-    """Knobs of the two-level decomposition.
-
-    ``c`` is the tradeoff exponent in [1/2, 1]; the top-level block size is
-    ceil(n**c) and each block of length L gets subblock size ceil(sqrt(L)).
+def _walk(adj, x: int, mark: list[int], token: int) -> tuple[list[int], int]:
+    """Nodes reachable from x along ``adj`` (x included) through nodes marked
+    below ``token``, each marked ``token`` when found.  Returns them in
+    discovery order, with the edge visits (adjacency length per node popped).
+    A mark above every later token closes a node for good.
     """
-
-    c: float
-    k: int
-
-    @staticmethod
-    def subblock_size(block_len: int) -> int:
-        return ceil_sqrt(block_len)
-
-
-class _Scratch:
-    """Token-marked work arrays so subset decompositions avoid O(n) clears."""
-
-    def __init__(self, n: int):
-        self.member = [0] * n
-        self.gone = [0] * n
-        self.seen = [0] * n
-        self.member_token = 0
-        self.seen_token = 0
+    mark[x] = token
+    found = [x]
+    stack = [x]
+    visits = 0
+    while stack:
+        nb = adj[stack.pop()]
+        visits += len(nb)
+        for w in nb:
+            if mark[w] < token:
+                mark[w] = token
+                found.append(w)
+                stack.append(w)
+    return found, visits
 
 
-def _extract_blocks(in_nbrs, visit_order, k, scratch):
-    """Greedy fat-node extraction over ``visit_order`` (a linear extension,
-    possibly restricted).  Returns (blocks, headers, residual, edge_visits).
+def _induced(adj, universe: list[int]) -> list[list[int]]:
+    """``adj`` restricted to the nodes of ``universe``, each renumbered to its
+    rank in that list.  Neighbour lists stay ascending when the universe is."""
+    rank = {x: r for r, x in enumerate(universe)}
+    return [[rank[w] for w in adj[x] if w in rank] for x in universe]
 
-    Each node's live downset is sized by DFS restricted to nodes not yet
-    extracted; reaching k makes the node a header and removes its downset.
-    Nodes visited earlier stay thin: removals only shrink downsets.
+
+def _local_downsets(in_nbrs, universe: list[int]) -> tuple[list[list[int]], int]:
+    """The downset inside ``universe`` of each of its members, in member
+    order and as node ids, plus the edge visits of the walks."""
+    local = _induced(in_nbrs, universe)
+    mark = [0] * len(universe)
+    downs = []
+    visits = 0
+    for r in range(len(universe)):
+        found, v = _walk(local, r, mark, r + 1)
+        visits += v
+        downs.append([universe[w] for w in found])
+    return downs, visits
+
+
+def _extract_blocks(in_nbrs, visit_order, k):
+    """Greedy fat-node extraction over ``visit_order``, a linear extension of
+    all of ``in_nbrs``.  Returns (blocks, headers, residual, edge_visits).
+
+    Each node's live downset is sized by a walk that extracted nodes close;
+    reaching k makes the node a header and removes its downset.  Nodes
+    visited earlier stay thin: removals only shrink downsets.
     """
-    sc = scratch
-    sc.member_token += 1
-    t = sc.member_token
-    member, gone, seen = sc.member, sc.gone, sc.seen
-    for x in visit_order:
-        member[x] = t
+    gone = len(visit_order) + 1  # above every token: extracted for good
+    mark = [0] * len(in_nbrs)
     blocks: list[list[int]] = []
     headers: list[int] = []
     edge_visits = 0
-    for x in visit_order:
-        if gone[x] == t:
+    for token, x in enumerate(visit_order, 1):
+        if mark[x] == gone:
             continue
-        sc.seen_token += 1
-        st = sc.seen_token
-        seen[x] = st
-        comp = [x]
-        stack = [x]
-        while stack:
-            z = stack.pop()
-            for w in in_nbrs[z]:
-                edge_visits += 1
-                if member[w] == t and gone[w] != t and seen[w] != st:
-                    seen[w] = st
-                    comp.append(w)
-                    stack.append(w)
+        comp, v = _walk(in_nbrs, x, mark, token)
+        edge_visits += v
         if len(comp) >= k:
             for w in comp:
-                gone[w] = t
+                mark[w] = gone
             comp.sort()
             blocks.append(comp)
             headers.append(x)
-    residual = sorted(x for x in visit_order if gone[x] != t)
+    residual = [x for x in range(len(in_nbrs)) if mark[x] != gone]
     return blocks, headers, residual, edge_visits
+
+
+def _extract_within(in_nbrs, members: list[int], k: int, position):
+    """:func:`_extract_blocks` on the subgraph induced on ``members``
+    (ascending ids), visited in the order of ``position``; the results are
+    node ids again."""
+    order = sorted(range(len(members)), key=lambda r: position[members[r]])
+    blocks, headers, residual, visits = _extract_blocks(
+        _induced(in_nbrs, members), order, k
+    )
+    ids = members.__getitem__
+    return ([list(map(ids, b)) for b in blocks], list(map(ids, headers)),
+            list(map(ids, residual)), visits)
 
 
 @dataclass
@@ -137,10 +155,7 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
     if not 1 <= k <= g.n:
         raise ValueError(f"block size {k} outside [1, {g.n}]")
     ext = linear_extension(g)
-    scratch = _Scratch(g.n)
-    blocks, headers, residual, visits = _extract_blocks(
-        g.in_neighbours, ext.order, k, scratch
-    )
+    blocks, headers, residual, visits = _extract_blocks(g.in_neighbours, ext.order, k)
     block_of = [len(blocks)] * g.n
     total = len(residual)
     for i, blk in enumerate(blocks):
@@ -158,18 +173,13 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
 
 @dataclass
 class SubblockEntry:
-    """Second-level decomposition of one principal block (header excluded).
-
-    ``sub_of`` maps members of the block (except its header) to a subblock
-    index, -1 meaning the residual subblock.
-    """
+    """Second-level decomposition of one principal block (header excluded)."""
 
     block_index: int
     r: int
     subblocks: list[list[int]]
     subheaders: list[int]
     residual: list[int]
-    sub_of: dict[int, int]
     edge_visits: int = 0
 
     @property
@@ -177,8 +187,7 @@ class SubblockEntry:
         return len(self.subblocks)
 
 
-def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int,
-                       scratch: _Scratch | None = None) -> SubblockEntry:
+def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int) -> SubblockEntry:
     """Block-decompose block i minus its header, block size ceil(sqrt(|B_i|)).
 
     The block is interval-closed in the lattice, so the induced subgraph of
@@ -190,24 +199,15 @@ def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int,
     blk = bd.blocks[i]
     header = bd.headers[i]
     members = [x for x in blk if x != header]
-    r = DecompositionParams.subblock_size(len(blk))
-    pos = bd.extension.position
-    members.sort(key=pos.__getitem__)
-    scratch = scratch or _Scratch(g.n)
-    subblocks, subheaders, residual, visits = _extract_blocks(
-        g.in_neighbours, members, r, scratch
+    r = ceil_sqrt(len(blk))
+    subblocks, subheaders, residual, visits = _extract_within(
+        g.in_neighbours, members, r, bd.extension.position
     )
-    sub_of: dict[int, int] = {}
-    for j, sub in enumerate(subblocks):
-        for x in sub:
-            sub_of[x] = j
-    for x in residual:
-        sub_of[x] = -1
-    assert len(sub_of) == len(members)
+    assert sum(map(len, subblocks)) + len(residual) == len(members)
     assert all(len(s) >= r for s in subblocks)
     return SubblockEntry(
         block_index=i, r=r, subblocks=subblocks, subheaders=subheaders,
-        residual=residual, sub_of=sub_of, edge_visits=visits,
+        residual=residual, edge_visits=visits,
     )
 
 
@@ -217,29 +217,23 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
     ``members`` is not claimed by an earlier child.
 
     ``members`` must be interval-closed with top ``header`` (true for blocks
-    and chunks), which makes the restricted DFS compute exactly the stated
+    and chunks), which makes the restricted walk compute exactly the stated
     set difference.
     """
-    member_set = set(members)
-    if header not in member_set:
+    universe = sorted(members)
+    h = bisect_left(universe, header)
+    if universe[h:h + 1] != [header]:
         raise ValueError(f"header {header} not in the member set")
-    children = [w for w in g.in_neighbours[header] if w in member_set]
-    remaining = member_set - {header}
+    in_nbrs = _induced(g.in_neighbours, universe)
+    mark = [0] * len(universe)
+    mark[h] = 1  # the header and every claimed node stay closed
     chunks: list[tuple[int, list[int]]] = []
-    in_nbrs = g.in_neighbours
-    for c in children:
-        assert c in remaining, "cover children must be pairwise incomparable"
-        chunk = {c}
-        stack = [c]
-        while stack:
-            z = stack.pop()
-            for w in in_nbrs[z]:
-                if w in remaining and w not in chunk:
-                    chunk.add(w)
-                    stack.append(w)
-        remaining -= chunk
-        chunks.append((c, sorted(chunk)))
-    assert not remaining, "cover decomposition failed to partition the block"
+    for c in in_nbrs[h]:
+        assert mark[c] == 0, "cover children must be pairwise incomparable"
+        chunk, _ = _walk(in_nbrs, c, mark, 1)
+        chunk.sort()
+        chunks.append((universe[c], [universe[w] for w in chunk]))
+    assert all(mark), "cover decomposition failed to partition the block"
     return chunks
 
 
@@ -338,7 +332,6 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
     d = max(d, 2)
     n = g2.n
     ext = linear_extension(g2)
-    scratch = _Scratch(n)
     pos = ext.position
     state = {"nodes": 0, "leaf_cells": 0, "depth": 0}
 
@@ -361,10 +354,7 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
             state["leaf_cells"] += len(members)
             return
         k = -(-len(members) // d)  # ceil(|chunk| / d)
-        visit = sorted(members, key=pos.__getitem__)
-        blocks, headers, residual, _ = _extract_blocks(
-            g2.in_neighbours, visit, k, scratch
-        )
+        blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k, pos)
         me = node.header
         if residual:
             assert me in residual, "chunk header must top the residual"
@@ -393,9 +383,7 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
         root.children.append(child)
     else:
         k0 = -(-n // d)
-        blocks, headers, residual, _ = _extract_blocks(
-            g2.in_neighbours, ext.order, k0, scratch
-        )
+        blocks, headers, residual, _ = _extract_blocks(g2.in_neighbours, ext.order, k0)
         for h, blk in zip(headers, blocks):
             child = new_node("block", h, len(blk), 1)
             root.children.append(child)

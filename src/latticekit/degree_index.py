@@ -25,7 +25,7 @@ probes.  ``tree_nodes_visited`` doubles as the depth reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decomposition import DecompositionTree, build_decomposition_tree
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
@@ -118,14 +118,8 @@ class SimpleJoinIndex:
         return z
 
     def _space_counts(self) -> SpaceReport:
-        base = self.order._space_counts()
         leaf = sum(len(t) for d in self.local_downsets for t in d.values())
-        return SpaceReport(
-            n=self.g.n,
-            header_meet_cells=base.header_meet_cells,
-            down_entries=base.down_entries,
-            leaf_cells=leaf,
-        )
+        return replace(self.order._space_counts(), leaf_cells=leaf)
 
 
 def build_simple_join_index(g: TRG) -> SimpleJoinIndex:
@@ -150,14 +144,8 @@ class RecursiveJoinIndex:
         return z
 
     def _space_counts(self) -> SpaceReport:
-        base = self.order._space_counts()
-        return SpaceReport(
-            n=self.g.n,
-            header_meet_cells=base.header_meet_cells,
-            down_entries=base.down_entries,
-            tree_nodes=self.tree.node_count,
-            leaf_cells=self.tree.leaf_cells,
-        )
+        return replace(self.order._space_counts(), tree_nodes=self.tree.node_count,
+                       leaf_cells=self.tree.leaf_cells)
 
 
 def build_recursive_join_index(g: TRG, d: int | None = None) -> RecursiveJoinIndex:

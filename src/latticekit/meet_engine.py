@@ -19,10 +19,11 @@ empty set means the meet does not exist.  The in-block subroutine repeats
 the same shape one level down, using the pair tables for same-subblock
 hits.
 
-Blocks are interval-closed, which pays off twice here: a meet computed
-inside a block or subblock universe is automatically the global meet
-whenever any common lower bound exists in that universe, so the restricted
-builds store exactly the right values.
+Subheader rows and pair tables are the order index's meet-row flood run
+on the induced subgraph of a block or subblock, residual downsets the
+shared downward walk on the residual subblock's.  Blocks and subblocks
+partition the nodes, so node-indexed arrays give each element's rank in
+its block, its subblock, and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -35,15 +36,16 @@ point.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .decomposition import (
-    DecompositionParams,
     SubblockEntry,
-    _Scratch,
+    _local_downsets,
     block_decompose,
     subblock_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_pow
-from .order_index import OrderIndex, build_order_index
+from .order_index import OrderIndex, _meet_rows, build_order_index
 from .trg import TRG, flip
 
 
@@ -55,8 +57,7 @@ class MeetIndex:
                  subheader_meet: list[list[list[int]]],
                  pair_tables: list[list[list[list[int]]]],
                  residual_downsets: list[dict[int, tuple[int, ...]]],
-                 block_rank: list[dict[int, int]],
-                 sub_rank: list[list[dict[int, int]]],
+                 rank: list[int], sub_rank: list[int], sub_of: list[int],
                  build_edge_visits: int):
         self.g = g
         self.c = c
@@ -64,12 +65,14 @@ class MeetIndex:
         self.null = g.n
         self.order = order
         self.bd = order.bd
-        self.params = DecompositionParams(c=c, k=order.bd.k)
         self.subs = subs
         self.subheader_meet = subheader_meet
         self.pair_tables = pair_tables
         self.residual_downsets = residual_downsets
-        self.block_rank = block_rank
+        # sub_of: subblock index within the block, -1 for the residual
+        # subblock, -2 for headers and the residual block
+        self.rank = rank
+        self.sub_of = sub_of
         self.sub_rank = sub_rank
         self.build_edge_visits = build_edge_visits
         self.dual: MeetIndex | None = None
@@ -101,7 +104,7 @@ class MeetIndex:
                 candidates.append(z)
         if block_of[x] == m and block_of[y] == m:
             # both residual: scan x's local downset for lower bounds of y
-            for z in sorted(oi.down[x]):
+            for z in oi.down[x]:
                 if stats is not None:
                     stats.scanned_elements += 1
                 if oi.test_order(z, y, stats):
@@ -118,10 +121,10 @@ class MeetIndex:
         if yi == header:
             return xi
         entry = self.subs[i]
-        rank = self.block_rank[i]
-        rx = rank[xi]
-        ry = rank[yi]
-        sub_of = entry.sub_of
+        rx = self.rank[xi]
+        ry = self.rank[yi]
+        sub_of = self.sub_of
+        sub_rank = self.sub_rank
         candidates: list[int] = []
         for j in range(entry.count):
             row = self.subheader_meet[i][j]
@@ -131,15 +134,14 @@ class MeetIndex:
                 stats.array_probes += 2
             if xj == self.null or yj == self.null:
                 continue
-            if sub_of.get(xj, -2) != j or sub_of.get(yj, -2) != j:
+            if sub_of[xj] != j or sub_of[yj] != j:
                 continue
-            srank = self.sub_rank[i][j]
-            z = self.pair_tables[i][j][srank[xj]][srank[yj]]
+            z = self.pair_tables[i][j][sub_rank[xj]][sub_rank[yj]]
             if stats is not None:
                 stats.table_probes += 1
             if z != self.null:
                 candidates.append(z)
-        if sub_of.get(xi, -2) == -1 and sub_of.get(yi, -2) == -1:
+        if sub_of[xi] == -1 and sub_of[yi] == -1:
             for z in self.residual_downsets[i][xi]:
                 if stats is not None:
                     stats.scanned_elements += 1
@@ -171,86 +173,20 @@ class MeetIndex:
     # -- accounting ------------------------------------------------------
 
     def _space_counts(self) -> SpaceReport:
-        own = self._own_space()
-        if self.dual is not None:
-            own = own.merged(self.dual._own_space())
-        return own
-
-    def _own_space(self) -> SpaceReport:
-        base = self.order._space_counts()
-        sub_cells = 0
-        table_cells = 0
-        res_cells = 0
-        for i, entry in enumerate(self.subs):
-            blen = len(self.bd.blocks[i])
-            sub_cells += entry.count * blen
-            table_cells += sum(len(s) ** 2 for s in entry.subblocks)
-            res_cells += sum(len(v) for v in self.residual_downsets[i].values())
-        return SpaceReport(
-            n=self.n,
+        own = replace(
+            self.order._space_counts(),
             c=self.c,
-            header_meet_cells=base.header_meet_cells,
-            down_entries=base.down_entries,
-            subheader_meet_cells=sub_cells,
-            pair_table_cells=table_cells,
-            residual_list_cells=res_cells,
+            subheader_meet_cells=sum(len(row) for rows in self.subheader_meet
+                                     for row in rows),
+            pair_table_cells=sum(map(self.pair_table_cells_of_block,
+                                     range(len(self.subs)))),
+            residual_list_cells=sum(len(v) for d in self.residual_downsets
+                                    for v in d.values()),
         )
+        return own if self.dual is None else own.merged(self.dual._space_counts())
 
     def pair_table_cells_of_block(self, i: int) -> int:
         return sum(len(s) ** 2 for s in self.subs[i].subblocks)
-
-
-def _restricted_meet_rows(g: TRG, universe: list[int], headers: list[int],
-                          position, mark: list[int], token_box: list[int]):
-    """Meet arrays over a universe that is interval-closed in the lattice.
-
-    For each h in ``headers``, computes h's meet with every universe member,
-    by the reverse-extension upset flood restricted to the universe.  A
-    non-null result is the true lattice meet: any common lower bound inside
-    the universe forces the global meet into it (the interval from that
-    bound up to either argument stays inside).  Returns rows indexed by
-    universe rank, plus the edge-visit count.
-    """
-    null = g.n
-    in_nb = g.in_neighbours
-    out_nb = g.out_neighbours
-    rank = {x: r for r, x in enumerate(universe)}
-    visits = 0
-    rows = []
-    for h in headers:
-        row = [null] * len(universe)
-        token_box[0] += 1
-        token = token_box[0]
-        mark[h] = token
-        members = [h]
-        stack = [h]
-        while stack:
-            z = stack.pop()
-            for w in in_nb[z]:
-                visits += 1
-                if w in rank and mark[w] != token:
-                    mark[w] = token
-                    members.append(w)
-                    stack.append(w)
-        members.sort(key=position.__getitem__)
-        token_box[0] += 1
-        token = token_box[0]
-        for y in reversed(members):
-            if mark[y] == token:
-                continue
-            mark[y] = token
-            row[rank[y]] = y
-            stack = [y]
-            while stack:
-                z = stack.pop()
-                for w in out_nb[z]:
-                    visits += 1
-                    if w in rank and mark[w] != token:
-                        mark[w] = token
-                        row[rank[w]] = y
-                        stack.append(w)
-        rows.append(row)
-    return rows, visits
 
 
 def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
@@ -269,56 +205,46 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     oi = build_order_index(g, bd)
     position = bd.extension.position
     visits = oi.build_edge_visits
-    mark = [0] * n
-    token_box = [0]
-    scratch = _Scratch(n)
+    rank = [0] * n
+    sub_rank = [0] * n
+    sub_of = [-2] * n
 
     subs: list[SubblockEntry] = []
     subheader_meet: list[list[list[int]]] = []
     pair_tables: list[list[list[list[int]]]] = []
     residual_downsets: list[dict[int, tuple[int, ...]]] = []
-    block_rank: list[dict[int, int]] = []
-    sub_rank: list[list[dict[int, int]]] = []
 
     for i, blk in enumerate(bd.blocks):
-        entry = subblock_decompose(g, bd, i, scratch)
+        entry = subblock_decompose(g, bd, i)
         visits += entry.edge_visits
         subs.append(entry)
-        block_rank.append({x: r for r, x in enumerate(blk)})
+        for r, x in enumerate(blk):
+            rank[x] = r
 
-        rows, v = _restricted_meet_rows(g, blk, entry.subheaders, position,
-                                        mark, token_box)
+        rows, v = _meet_rows(g, [rank[h] for h in entry.subheaders], position, blk)
         visits += v
         subheader_meet.append(rows)
 
         tables = []
-        ranks = []
-        for sub in entry.subblocks:
+        for j, sub in enumerate(entry.subblocks):
+            for r, x in enumerate(sub):
+                sub_rank[x] = r
+                sub_of[x] = j
             # meets of every member pair, computed inside the subblock
-            trows, v = _restricted_meet_rows(g, sub, sub, position, mark, token_box)
+            trows, v = _meet_rows(g, range(len(sub)), position, sub)
             visits += v
             tables.append(trows)
-            ranks.append({x: r for r, x in enumerate(sub)})
         pair_tables.append(tables)
-        sub_rank.append(ranks)
 
-        res_set = set(entry.residual)
-        res_down: dict[int, tuple[int, ...]] = {}
+        downs, v = _local_downsets(g.in_neighbours, entry.residual)
+        visits += v
+        residual_downsets.append(
+            {x: tuple(sorted(d)) for x, d in zip(entry.residual, downs)})
         for x in entry.residual:
-            local = {x}
-            stack = [x]
-            while stack:
-                z = stack.pop()
-                for w in g.in_neighbours[z]:
-                    visits += 1
-                    if w in res_set and w not in local:
-                        local.add(w)
-                        stack.append(w)
-            res_down[x] = tuple(sorted(local))
-        residual_downsets.append(res_down)
+            sub_of[x] = -1
 
     idx = MeetIndex(g, c, oi, subs, subheader_meet, pair_tables,
-                    residual_downsets, block_rank, sub_rank, visits)
+                    residual_downsets, rank, sub_rank, sub_of, visits)
     if with_dual:
         idx.dual = build_meet_index(flip(g), c, with_dual=False, k=k)
     return idx

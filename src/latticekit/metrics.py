@@ -9,7 +9,7 @@ any pass/fail decision; probe counts are the portable time surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class SpaceReport:
     n: int
     c: float | None = None
     header_meet_cells: int = 0      # one array of length n per block header
-    down_entries: int = 0           # local-downset dictionary members
+    down_entries: int = 0           # local-downset set members
     subheader_meet_cells: int = 0   # per-subheader arrays over their block
     pair_table_cells: int = 0       # per-subblock meet tables
     residual_list_cells: int = 0    # residual-subblock downset lists
@@ -78,18 +78,12 @@ class SpaceReport:
                 + self.residual_list_cells + self.tree_nodes + self.leaf_cells)
 
     def merged(self, other: "SpaceReport") -> "SpaceReport":
-        """Combine two reports (e.g. a primary index and its dual)."""
-        return SpaceReport(
-            n=self.n,
-            c=self.c,
-            header_meet_cells=self.header_meet_cells + other.header_meet_cells,
-            down_entries=self.down_entries + other.down_entries,
-            subheader_meet_cells=self.subheader_meet_cells + other.subheader_meet_cells,
-            pair_table_cells=self.pair_table_cells + other.pair_table_cells,
-            residual_list_cells=self.residual_list_cells + other.residual_list_cells,
-            tree_nodes=self.tree_nodes + other.tree_nodes,
-            leaf_cells=self.leaf_cells + other.leaf_cells,
-        )
+        """Combine two reports (e.g. a primary index and its dual): every
+        count is summed, ``n`` and ``c`` are kept from this one."""
+        return replace(self, **{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self) if f.name not in ("n", "c")
+        })
 
     def lines(self) -> list[str]:
         out = [f"n                 {self.n}"]
@@ -140,8 +134,7 @@ def space_report(index) -> SpaceReport:
     Dispatches on a ``_space_counts`` hook so new structures only need to
     report their own cells.
     """
-    counts = index._space_counts()
-    return counts
+    return index._space_counts()
 
 
 def ceil_sqrt(x: int) -> int:

@@ -5,15 +5,19 @@ Two stores answer "is x <= y?" in O(1):
 * one meet array per block header, mapping every element z to its meet
   with that header (so the representative of any element inside any
   principal block costs a single array read), and
-* one membership dictionary per element holding its local downset (the
-  part of its downset inside its own block).
+* one frozen set per element holding its local downset (the part of its
+  downset inside its own block).
+
+The first is filled by the meet-row flood (:func:`_meet_rows`, which also
+fills the meet engine's tables), the second by the shared downward walk
+run on each block's induced subgraph.
 
 The query splits into three cases.  If x sits in a principal block, map y
 to its representative in that block and test membership in the
 representative's local downset.  If x and y are both residual, test
 membership directly.  A residual x can never be below a principal y.
-Every call costs at most five probes (array reads, one dictionary
-membership, and a few block-id comparisons).
+Every call costs at most five probes (array reads, one set membership,
+and a few block-id comparisons).
 
 The structure is immutable after the build; concurrent queries are safe.
 Callers that want probe counts pass their own ``QueryStats`` recorder, so
@@ -22,13 +26,19 @@ counting never contends across threads.
 
 from __future__ import annotations
 
-from .decomposition import BlockDecomposition, block_decompose
+from .decomposition import (
+    BlockDecomposition,
+    _induced,
+    _local_downsets,
+    _walk,
+    block_decompose,
+)
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .trg import TRG
 
 
 class OrderIndex:
-    """Header-meet arrays plus local-downset dictionaries; see module docs."""
+    """Header-meet arrays plus local-downset sets; see module docs."""
 
     def __init__(self, g: TRG, bd: BlockDecomposition, header_meet, down,
                  build_edge_visits: int):
@@ -98,81 +108,77 @@ class OrderIndex:
         )
 
 
-def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
-                      k: int | None = None) -> OrderIndex:
-    """Build the order-testing structure (default block size ceil(sqrt n)).
+def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
+    """Meet of each head with every node, one row per head, by flooding.
 
-    The meet array of a header h is filled by walking h's downset in
-    reverse linear-extension order and flooding each element's upset in the
-    full graph: the last element of the restricted extension that reaches z
-    is the meet of z and h (bounds are unique in a partial lattice, and the
-    unique maximal lower bound is the latest one in any linear extension).
-    Visited nodes are tokened per header, so each build costs one pass over
-    the TRG's edges per header.
+    The head's downset is walked, then its members are taken in reverse
+    linear-extension order, each flooding the part of its upset no later
+    member has reached: the last member that reaches z is the meet of z and
+    the head (bounds are unique in a partial lattice, and the unique maximal
+    lower bound is the latest one in any linear extension).
+
+    With a ``universe`` (ascending ids, interval-closed) the floods run on
+    its induced subgraph, heads and row indexes being ranks in it.  A stored
+    meet is still the lattice meet: a common lower bound inside the universe
+    forces the meet inside.  Returns the rows (null is ``g.n``) and the edge
+    visits.
     """
-    if bd is None:
-        bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
-    n = g.n
-    null = n
-    position = bd.extension.position
-    out_nb = g.out_neighbours
-    in_nb = g.in_neighbours
-    visits = bd.edge_visits
-    mark = [0] * n
+    if universe is None:
+        in_nbrs, out_nbrs = g.in_neighbours, g.out_neighbours
+    else:
+        in_nbrs = _induced(g.in_neighbours, universe)
+        out_nbrs = _induced(g.out_neighbours, universe)
+        position = [position[x] for x in universe]
+    null = g.n
+    size = len(in_nbrs)
+    mark = [0] * size
     token = 0
-
-    header_meet: list[list[int]] = []
-    for h in bd.headers:
-        row = [null] * n
-        # downset of h in the full lattice (it can exceed h's own block)
-        members = [h]
-        token += 1
-        mark[h] = token
-        stack = [h]
-        while stack:
-            z = stack.pop()
-            for w in in_nb[z]:
-                visits += 1
-                if mark[w] != token:
-                    mark[w] = token
-                    members.append(w)
-                    stack.append(w)
+    visits = 0
+    rows = []
+    for h in heads:
+        token += 2
+        members, v = _walk(in_nbrs, h, mark, token - 1)
+        visits += v
         members.sort(key=position.__getitem__)
-        token += 1
+        row = [null] * size
         for y in reversed(members):
             if mark[y] == token:
                 continue
             mark[y] = token
-            row[y] = y
+            # the id objects stored are the graph's own, not new ints
+            meet = row[y] = y if universe is None else universe[y]
             stack = [y]
             while stack:
-                z = stack.pop()
-                for w in out_nb[z]:
-                    visits += 1
-                    if mark[w] != token:
+                nb = out_nbrs[stack.pop()]
+                visits += len(nb)
+                for w in nb:
+                    if mark[w] < token:
                         mark[w] = token
-                        row[w] = y
+                        row[w] = meet
                         stack.append(w)
-        header_meet.append(row)
+        rows.append(row)
+    return rows, visits
 
-    block_of = bd.block_of
-    down: list[frozenset[int]] = [frozenset()] * n
-    for x in range(n):
-        bx = block_of[x]
-        local = {x}
-        stack = [x]
-        while stack:
-            z = stack.pop()
-            for w in in_nb[z]:
-                visits += 1
-                if block_of[w] == bx and w not in local:
-                    local.add(w)
-                    stack.append(w)
-        down[x] = frozenset(local)
+
+def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
+                      k: int | None = None) -> OrderIndex:
+    """Build the order-testing structure (default block size ceil(sqrt n))."""
+    if bd is None:
+        bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
+    header_meet, visits = _meet_rows(g, bd.headers, bd.extension.position)
+    visits += bd.edge_visits
+    down: list[frozenset[int]] = [frozenset()] * g.n
+    for universe in bd.blocks + [bd.residual]:
+        downs, v = _local_downsets(g.in_neighbours, universe)
+        visits += v
+        for x, local in zip(universe, downs):
+            # via a set, the table is sized to the downset; built from the
+            # list it keeps the slack of growing one element at a time
+            down[x] = frozenset(set(local))
 
     idx = OrderIndex(g, bd, header_meet, down, visits)
     headers = set(bd.headers)
-    for x in range(n):
+    for x in range(g.n):
         # non-headers must be thin inside their own block
         assert x in headers or len(down[x]) < bd.k, (
             f"node {x} has local downset of size {len(down[x])} >= k={bd.k}"

@@ -229,3 +229,23 @@ def test_diamond_candidates_small(diamond):
     stats = lk.QueryStats()
     idx.meet(1, 2, stats)
     assert stats.candidate_count <= 2
+
+
+def test_residual_downsets_and_pair_tables_match_references(family_zoo):
+    for spec, g in family_zoo:
+        idx = lk.build_meet_index(g)
+        c = oracle_tables(g)
+        for i, entry in enumerate(idx.subs):
+            rset = set(entry.residual)
+            for x in entry.residual:
+                assert set(idx.residual_downsets[i][x]) == lk.downset(
+                    g, x, restrict=rset), (spec, i, x)
+            for j, sub in enumerate(entry.subblocks):
+                table = idx.pair_tables[i][j]
+                members = set(sub)
+                for a, x in enumerate(sub):
+                    for b, y in enumerate(sub):
+                        expected = lk.oracle_meet(c, x, y)
+                        if expected not in members:
+                            expected = idx.null
+                        assert table[a][b] == expected, (spec, i, j, x, y)
