@@ -52,6 +52,7 @@ from .order_index import OrderIndex, build_order_index
 from .trg import (
     TRG,
     LinearExtension,
+    NodeIdError,
     ParseError,
     ReductionReport,
     StructureError,
@@ -69,7 +70,8 @@ from .trg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TRG", "LinearExtension", "ParseError", "StructureError", "ReductionReport",
+    "TRG", "LinearExtension", "ParseError", "StructureError", "NodeIdError",
+    "ReductionReport",
     "parse_trg", "format_trg", "to_dot", "linear_extension", "downset", "upset",
     "flip", "with_top", "validate_reduction",
     "ClosureMatrix", "LatticeViolation", "NotALatticeError",

@@ -19,18 +19,35 @@ header is attached as a "self block" child, which keeps node degrees at
 most d+1 while chunk sizes shrink by a factor d every two levels.  Chunks
 smaller than 2d stop the recursion and store their elements as leaf lists.
 
+Extraction sizes live downsets without walking them.  The extracted set E
+stays down-closed: when header x is taken, its block is Down(x) minus E,
+and any path from x to a live node below it is live (an extracted node on
+the path would put the end node in E too).  So a node's live downset is
+itself plus the union of its children's, minus E: one bitset per thin
+node, OR-ed once along each in-edge, sizes every live downset
+(:func:`_extract_blocks`).
+
 Every downward walk of the builds is :func:`_walk`; work inside a block,
 subblock or chunk runs on its induced subgraph (:func:`_induced`), so no
-walk tests membership.
+walk tests membership.  Structural invariants raise
+:class:`~latticekit.trg.StructureError`, so they hold under ``python -O``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .metrics import ceil_log, ceil_sqrt
-from .trg import TRG, LinearExtension, downset, linear_extension, with_top
+from .trg import (
+    TRG,
+    LinearExtension,
+    StructureError,
+    downset,
+    linear_extension,
+    with_top,
+)
 
 
 def _walk(adj, x: int, mark: list[int], token: int) -> tuple[list[int], int]:
@@ -75,32 +92,58 @@ def _local_downsets(in_nbrs, universe: list[int]) -> tuple[list[list[int]], int]
     return downs, visits
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_ids(s: int, ids: list) -> list:
+    """``ids[i]`` for every set bit i of ``s``, ascending.  The bits from
+    the lowest set one up become a 0/1 byte string that selects from ``ids``,
+    so the cost follows the span of ``s``, not its highest bit."""
+    if not s:
+        return []
+    lo = (s & -s).bit_length() - 1
+    bits = bin(s >> lo)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(ids[lo:s.bit_length()], bits))
+
+
 def _extract_blocks(in_nbrs, visit_order, k):
     """Greedy fat-node extraction over ``visit_order``, a linear extension of
     all of ``in_nbrs``.  Returns (blocks, headers, residual, edge_visits).
 
-    Each node's live downset is sized by a walk that extracted nodes close;
-    reaching k makes the node a header and removes its downset.  Nodes
-    visited earlier stay thin: removals only shrink downsets.
+    Live downsets are bitsets: the extracted set E stays down-closed (the
+    block of a header x is Down(x) minus E), so every path from x to a live
+    node of Down(x) is live and x's live downset is x plus the union of its
+    children's, minus E.  Each thin node keeps its bitset; a node whose
+    bitset reaches k bits becomes a header and its bits leave ``live``.
+    Nodes visited earlier stay thin: removals only shrink downsets.  A node
+    is still live when visited, since its block's header comes no earlier
+    in the extension, so each in-edge counts once as an edge visit.
+
+    Bit positions map back through a table of the caller's own id objects
+    (those of ``in_nbrs`` where a node has one), so blocks hold no new ints.
     """
-    gone = len(visit_order) + 1  # above every token: extracted for good
-    mark = [0] * len(in_nbrs)
+    ids = [None] * len(in_nbrs)
+    for x in visit_order:
+        ids[x] = x
+    for nb in in_nbrs:
+        for w in nb:
+            ids[w] = w
+    live = (1 << len(in_nbrs)) - 1
+    down = [0] * len(in_nbrs)
     blocks: list[list[int]] = []
     headers: list[int] = []
-    edge_visits = 0
-    for token, x in enumerate(visit_order, 1):
-        if mark[x] == gone:
-            continue
-        comp, v = _walk(in_nbrs, x, mark, token)
-        edge_visits += v
-        if len(comp) >= k:
-            for w in comp:
-                mark[w] = gone
-            comp.sort()
-            blocks.append(comp)
+    for x in visit_order:
+        s = 1 << x
+        for c in in_nbrs[x]:
+            s |= down[c]
+        s &= live
+        if s.bit_count() >= k:
+            live ^= s
+            blocks.append(_bit_ids(s, ids))
             headers.append(x)
-    residual = [x for x in range(len(in_nbrs)) if mark[x] != gone]
-    return blocks, headers, residual, edge_visits
+        else:
+            down[x] = s
+    return blocks, headers, _bit_ids(live, ids), sum(map(len, in_nbrs))
 
 
 def _extract_within(in_nbrs, members: list[int], k: int, position):
@@ -148,9 +191,10 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
 
     Deterministic: nodes are visited in the canonical linear extension, so
     the first fat node found becomes the next header.  Cheap structural
-    assertions (partition, size floor, block count) run on every build;
-    the costlier thinness and per-block lattice checks live in the order
-    index build and the test suite.
+    checks (partition, size floor, block count) run on every build and
+    raise :class:`StructureError`; the costlier thinness and per-block
+    lattice checks live in the order index build and
+    :func:`verify_block_decomposition`.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"block size {k} outside [1, {g.n}]")
@@ -162,9 +206,12 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
         total += len(blk)
         for x in blk:
             block_of[x] = i
-    assert total == g.n, "blocks and residual do not partition the node set"
-    assert all(len(blk) >= k for blk in blocks), "principal block below size floor"
-    assert len(blocks) <= g.n // k, "more than n/k principal blocks"
+    if total != g.n:
+        raise StructureError("blocks and residual do not partition the node set")
+    if any(len(blk) < k for blk in blocks):
+        raise StructureError("principal block below size floor")
+    if len(blocks) > g.n // k:
+        raise StructureError("more than n/k principal blocks")
     return BlockDecomposition(
         k=k, blocks=blocks, headers=headers, residual=residual,
         block_of=block_of, extension=ext, edge_visits=visits,
@@ -203,8 +250,10 @@ def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int) -> SubblockEntry:
     subblocks, subheaders, residual, visits = _extract_within(
         g.in_neighbours, members, r, bd.extension.position
     )
-    assert sum(map(len, subblocks)) + len(residual) == len(members)
-    assert all(len(s) >= r for s in subblocks)
+    if sum(map(len, subblocks)) + len(residual) != len(members):
+        raise StructureError(f"subblocks of block {i} do not partition it")
+    if any(len(s) < r for s in subblocks):
+        raise StructureError(f"subblock of block {i} below size floor")
     return SubblockEntry(
         block_index=i, r=r, subblocks=subblocks, subheaders=subheaders,
         residual=residual, edge_visits=visits,
@@ -229,11 +278,13 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
     mark[h] = 1  # the header and every claimed node stay closed
     chunks: list[tuple[int, list[int]]] = []
     for c in in_nbrs[h]:
-        assert mark[c] == 0, "cover children must be pairwise incomparable"
+        if mark[c]:
+            raise StructureError("cover children must be pairwise incomparable")
         chunk, _ = _walk(in_nbrs, c, mark, 1)
         chunk.sort()
         chunks.append((universe[c], [universe[w] for w in chunk]))
-    assert all(mark), "cover decomposition failed to partition the block"
+    if not all(mark):
+        raise StructureError("cover decomposition failed to partition the block")
     return chunks
 
 
@@ -278,7 +329,8 @@ class DecompositionTree:
     depth: int = 0
 
     def verify(self) -> None:
-        """Assert the structural invariants; cheap, runs on every build."""
+        """Check the structural invariants, raising :class:`StructureError`;
+        cheap, runs on every build."""
         d = self.d
         max_depth = 2 * ceil_log(self.n, d) + 2
         seen_chunk_headers: set[int] = set()
@@ -286,29 +338,33 @@ class DecompositionTree:
         leaf_members: set[int] = set()
 
         def walk(node: TreeNode, depth: int, chunk_anc_size: int | None):
-            assert len(node.children) <= d + 1, (
-                f"node degree {len(node.children)} exceeds {d + 1}"
-            )
-            if node.kind != "root":
-                assert depth <= max_depth, f"depth {depth} exceeds bound {max_depth}"
+            if len(node.children) > d + 1:
+                raise StructureError(
+                    f"node degree {len(node.children)} exceeds {d + 1}")
+            if node.kind != "root" and depth > max_depth:
+                raise StructureError(f"depth {depth} exceeds bound {max_depth}")
             if node.kind == "chunk":
-                assert node.header not in seen_chunk_headers
+                if node.header in seen_chunk_headers:
+                    raise StructureError(f"chunk header {node.header} repeats")
                 seen_chunk_headers.add(node.header)
-                if chunk_anc_size is not None:
-                    # chunk sizes shrink by a factor d every two levels
-                    assert node.size * d <= chunk_anc_size, (
+                # chunk sizes shrink by a factor d every two levels
+                if chunk_anc_size is not None and node.size * d > chunk_anc_size:
+                    raise StructureError(
                         f"chunk of size {node.size} under chunk of size "
-                        f"{chunk_anc_size} (d={d})"
-                    )
+                        f"{chunk_anc_size} (d={d})")
                 chunk_anc_size = node.size
                 if node.is_leaf:
-                    assert node.size < 2 * d, "leaf chunk too large"
-                    assert len(node.leaf_elements) == node.size
+                    if node.size >= 2 * d:
+                        raise StructureError("leaf chunk too large")
+                    if len(node.leaf_elements) != node.size:
+                        raise StructureError("leaf list length differs from its size")
                     for x in node.leaf_elements:
-                        assert x not in leaf_members, "leaf lists overlap"
+                        if x in leaf_members:
+                            raise StructureError("leaf lists overlap")
                         leaf_members.add(x)
             elif node.kind == "block":
-                assert node.header not in seen_block_headers
+                if node.header in seen_block_headers:
+                    raise StructureError(f"block header {node.header} repeats")
                 seen_block_headers.add(node.header)
             for child in node.children:
                 walk(child, depth + 1, chunk_anc_size)
@@ -357,11 +413,13 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
         blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k, pos)
         me = node.header
         if residual:
-            assert me in residual, "chunk header must top the residual"
+            if me not in residual:
+                raise StructureError("chunk header must top the residual")
             self_members = residual
             principal = list(zip(headers, blocks))
         else:
-            assert headers and headers[-1] == me, "chunk header must head the last block"
+            if not headers or headers[-1] != me:
+                raise StructureError("chunk header must head the last block")
             self_members = blocks[-1]
             principal = list(zip(headers[:-1], blocks[:-1]))
         for h, blk in principal:
@@ -389,7 +447,8 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
             root.children.append(child)
             expand_block(child, blk, 1)
         if residual:
-            assert top in residual, "a topped lattice leaves its top in the residual"
+            if top not in residual:
+                raise StructureError("a topped lattice leaves its top in the residual")
             child = new_node("block", top, len(residual), 1)
             root.children.append(child)
             expand_block(child, residual, 1)
@@ -405,12 +464,13 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
 
 def verify_block_decomposition(g: TRG, bd: BlockDecomposition,
                                closure=None) -> None:
-    """Assert the full decomposition contract (partition, size floor, header
-    on top, thinness, per-block lattice property).
+    """Check the full decomposition contract (partition, size floor, header
+    on top, thinness, per-block lattice property), raising
+    :class:`StructureError` at the first breach.
 
     Costs a closure build plus a pair scan per block, so it is meant for
     tests and one-off validation rather than the build path; the builders
-    themselves assert the cheap structural parts.
+    themselves check the cheap structural parts.
     """
     from .oracle import ClosureMatrix, sublattice_violation
 
@@ -418,24 +478,31 @@ def verify_block_decomposition(g: TRG, bd: BlockDecomposition,
     seen: set[int] = set()
     for i, blk in enumerate(bd.blocks):
         h = bd.headers[i]
-        assert len(blk) >= bd.k
-        assert h in blk
+        if len(blk) < bd.k:
+            raise StructureError(f"block {i} below size floor {bd.k}")
+        if h not in blk:
+            raise StructureError(f"block {i} lacks its header {h}")
         members = set(blk)
-        assert not members & seen
+        if members & seen:
+            raise StructureError(f"block {i} overlaps an earlier block")
         seen |= members
         for x in blk:
-            assert c.leq(x, h), f"block {i} member {x} not under header {h}"
-            if x != h:
-                local = downset(g, x, restrict=members)
-                assert len(local) < bd.k, f"member {x} of block {i} is not thin"
-        assert sublattice_violation(c, blk) is None, f"block {i} is not a lattice"
+            if not c.leq(x, h):
+                raise StructureError(f"block {i} member {x} not under header {h}")
+            if x != h and len(downset(g, x, restrict=members)) >= bd.k:
+                raise StructureError(f"member {x} of block {i} is not thin")
+        if sublattice_violation(c, blk) is not None:
+            raise StructureError(f"block {i} is not a lattice")
     res = set(bd.residual)
-    assert not res & seen
-    assert seen | res == set(range(g.n))
+    if res & seen:
+        raise StructureError("residual overlaps a principal block")
+    if seen | res != set(range(g.n)):
+        raise StructureError("blocks and residual do not cover the node set")
     for x in bd.residual:
-        assert len(downset(g, x, restrict=res)) < bd.k
-    if bd.residual:
-        assert sublattice_violation(c, bd.residual) is None
+        if len(downset(g, x, restrict=res)) >= bd.k:
+            raise StructureError(f"residual member {x} is not thin")
+    if bd.residual and sublattice_violation(c, bd.residual) is not None:
+        raise StructureError("the residual is not a lattice")
 
 
 def dump_blocks(bd: BlockDecomposition,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .decomposition import DecompositionTree, build_decomposition_tree
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .order_index import OrderIndex, build_order_index
-from .trg import TRG, with_top
+from .trg import TRG, NodeIdError, StructureError, with_top
 
 
 @dataclass
@@ -64,7 +64,8 @@ class SimpleJoinIndex:
         blocks = list(bd.blocks)
         headers = list(bd.headers)
         if bd.residual:
-            assert top in bd.residual, "a topped lattice leaves its top residual"
+            if top not in bd.residual:
+                raise StructureError("a topped lattice leaves its top residual")
             blocks.append(bd.residual)
             headers.append(top)
         self.block_order = headers
@@ -83,7 +84,10 @@ class SimpleJoinIndex:
         self.position = bd.extension.position
 
     def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
-        """Least upper bound of x and y (None when none exists)."""
+        """Least upper bound of x and y (None when none exists); ids outside
+        [0, n) raise :class:`NodeIdError`."""
+        if not (0 <= x < self.n_orig and 0 <= y < self.n_orig):
+            raise NodeIdError(x, y, self.n_orig)
         oi = self.order
         target = None
         for i, h in enumerate(self.block_order):
@@ -138,6 +142,10 @@ class RecursiveJoinIndex:
         self.d = self.tree.d
 
     def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
+        """Least upper bound of x and y (None when none exists); ids outside
+        [0, n) raise :class:`NodeIdError`."""
+        if not (0 <= x < self.n_orig and 0 <= y < self.n_orig):
+            raise NodeIdError(x, y, self.n_orig)
         z = recursive_join(self.tree, self.order, x, y, stats)
         if z is None or (self.tree.virtual_top and z == self.tree.top):
             return None

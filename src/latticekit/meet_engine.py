@@ -46,7 +46,7 @@ from .decomposition import (
 )
 from .metrics import QueryStats, SpaceReport, ceil_pow
 from .order_index import OrderIndex, _meet_rows, build_order_index
-from .trg import TRG, flip
+from .trg import TRG, NodeIdError, flip
 
 
 class MeetIndex:
@@ -80,10 +80,16 @@ class MeetIndex:
     # -- queries ---------------------------------------------------------
 
     def test_order(self, x: int, y: int, stats: QueryStats | None = None) -> bool:
+        """True iff x <= y; ids outside [0, n) raise :class:`NodeIdError`."""
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise NodeIdError(x, y, self.n)
         return self.order.test_order(x, y, stats)
 
     def meet(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
-        """Greatest lower bound of x and y, or None if they have none."""
+        """Greatest lower bound of x and y, or None if they have none; ids
+        outside [0, n) raise :class:`NodeIdError`."""
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise NodeIdError(x, y, self.n)
         oi = self.order
         null = self.null
         block_of = oi._block_of
@@ -150,7 +156,8 @@ class MeetIndex:
         return self._maximum(candidates, stats)
 
     def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
-        """Least upper bound, answered by the dual index on the flipped graph."""
+        """Least upper bound, answered by the dual index on the flipped graph
+        (whose :meth:`meet` checks the ids)."""
         if self.dual is None:
             raise ValueError("index was built without a dual; joins unavailable")
         return self.dual.meet(x, y, stats)
@@ -161,7 +168,6 @@ class MeetIndex:
         upper bound (every candidate is below the true meet)."""
         if stats is not None:
             stats.candidate_count += len(candidates)
-            stats.candidates.extend(candidates)
         if not candidates:
             return None
         best = candidates[0]

@@ -9,7 +9,7 @@ any pass/fail decision; probe counts are the portable time surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class QueryStats:
     candidate_count: int = 0
     tree_nodes_visited: int = 0
     max_order_test_probes: int = 0
-    candidates: list = field(default_factory=list, repr=False)
 
     def reset(self) -> None:
         self.order_tests = 0
@@ -44,7 +43,6 @@ class QueryStats:
         self.candidate_count = 0
         self.tree_nodes_visited = 0
         self.max_order_test_probes = 0
-        self.candidates.clear()
 
     @property
     def total_probes(self) -> int:

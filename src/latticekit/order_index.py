@@ -34,7 +34,7 @@ from .decomposition import (
     block_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
-from .trg import TRG
+from .trg import TRG, StructureError
 
 
 class OrderIndex:
@@ -56,7 +56,12 @@ class OrderIndex:
     # -- queries ---------------------------------------------------------
 
     def test_order(self, x: int, y: int, stats: QueryStats | None = None) -> bool:
-        """True iff x <= y.  At most 5 probes, counted into ``stats``."""
+        """True iff x <= y.  At most 5 probes, counted into ``stats``.
+
+        Both ids must lie in [0, n); this internal probe does not check
+        (a negative id wraps).  The public query methods of the meet and
+        join indexes check ids before they reach it.
+        """
         block_of = self._block_of
         bx = block_of[x]
         if bx < self._m:
@@ -180,7 +185,7 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
     headers = set(bd.headers)
     for x in range(g.n):
         # non-headers must be thin inside their own block
-        assert x in headers or len(down[x]) < bd.k, (
-            f"node {x} has local downset of size {len(down[x])} >= k={bd.k}"
-        )
+        if x not in headers and len(down[x]) >= bd.k:
+            raise StructureError(
+                f"node {x} has local downset of size {len(down[x])} >= k={bd.k}")
     return idx

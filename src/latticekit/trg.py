@@ -36,6 +36,13 @@ class StructureError(ValueError):
     """The graph violates a structural precondition (e.g. contains a cycle)."""
 
 
+class NodeIdError(IndexError):
+    """A query named a node id outside ``[0, n)`` (negative ids included)."""
+
+    def __init__(self, x: int, y: int, n: int):
+        super().__init__(f"node ids ({x}, {y}) must lie in [0, {n})")
+
+
 @dataclass(eq=True)
 class TRG:
     """Covering-relation DAG of a partial lattice.

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 import latticekit as lk
 from latticekit.metrics import ceil_log
 
@@ -165,3 +167,12 @@ def test_space_reports():
     rep_r = lk.space_report(rj)
     assert rep_s.total > 0 and rep_r.tree_nodes == rj.tree.node_count
     assert rep_r.leaf_cells == rj.tree.leaf_cells
+
+
+def test_join_ids_out_of_range_raise():
+    # two maximal elements: id 2 is the synthetic top, not a query id
+    g = lk.parse_trg("lattice v1\n2 0\n")
+    for idx in (lk.build_simple_join_index(g), lk.build_recursive_join_index(g)):
+        for x, y in [(-1, 1), (1, -1), (0, 2), (2, 0)]:
+            with pytest.raises(lk.NodeIdError):
+                idx.join(x, y)

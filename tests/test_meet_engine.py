@@ -175,12 +175,20 @@ def test_candidate_soundness(family_zoo):
         idx = lk.build_meet_index(g)
         c = oracle_tables(g)
         rng = random.Random(8)
-        stats = lk.QueryStats()
+        # every candidate set the meet (and its in-block meets) maximises
+        seen = []
+        maximum = idx._maximum
+
+        def recording(candidates, stats):
+            seen.extend(candidates)
+            return maximum(candidates, stats)
+
+        idx._maximum = recording
         for _ in range(200):
             x, y = rng.randrange(g.n), rng.randrange(g.n)
-            stats.reset()
-            idx.meet(x, y, stats)
-            for z in stats.candidates:
+            seen.clear()
+            idx.meet(x, y)
+            for z in seen:
                 assert c.leq(z, x) and c.leq(z, y)
 
 
@@ -249,3 +257,11 @@ def test_residual_downsets_and_pair_tables_match_references(family_zoo):
                         if expected not in members:
                             expected = idx.null
                         assert table[a][b] == expected, (spec, i, j, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 3), (3, -1), (0, 16), (16, 0)])
+def test_query_ids_out_of_range_raise(x, y):
+    idx = lk.build_meet_index(lk.generate(lk.FamilySpec("boolean", 4)))
+    for query in (idx.meet, idx.join, idx.test_order):
+        with pytest.raises(lk.NodeIdError):
+            query(x, y)

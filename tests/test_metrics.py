@@ -74,10 +74,10 @@ def test_space_report_invariant_under_queries(diamond):
 def test_query_stats_reset():
     stats = lk.QueryStats()
     stats.order_tests = 5
-    stats.candidates.append(3)
+    stats.candidate_count = 3
     stats.reset()
     assert stats.order_tests == 0
-    assert stats.candidates == []
+    assert stats.candidate_count == 0
     assert stats.total_probes == 0
 
 
