@@ -117,17 +117,21 @@ def _extract_blocks(in_nbrs, visit_order, k):
     bitset reaches k bits becomes a header and its bits leave ``live``.
     Nodes visited earlier stay thin: removals only shrink downsets.  A node
     is still live when visited, since its block's header comes no earlier
-    in the extension, so each in-edge counts once as an edge visit.
+    in the extension, so each in-edge counts once as an edge visit.  A
+    bitset is dropped once every node covering it has been visited, which
+    bounds the scratch by the thin nodes whose covers are still ahead.
 
     Bit positions map back through a table of the caller's own id objects
     (those of ``in_nbrs`` where a node has one), so blocks hold no new ints.
     """
     ids = [None] * len(in_nbrs)
+    covers = [0] * len(in_nbrs)  # covers of each node still to be visited
     for x in visit_order:
         ids[x] = x
     for nb in in_nbrs:
         for w in nb:
             ids[w] = w
+            covers[w] += 1
     live = (1 << len(in_nbrs)) - 1
     down = [0] * len(in_nbrs)
     blocks: list[list[int]] = []
@@ -136,6 +140,9 @@ def _extract_blocks(in_nbrs, visit_order, k):
         s = 1 << x
         for c in in_nbrs[x]:
             s |= down[c]
+            covers[c] -= 1
+            if not covers[c]:
+                down[c] = 0
         s &= live
         if s.bit_count() >= k:
             live ^= s
