@@ -52,10 +52,19 @@ def demo_lattice_with_dummy() -> trg.TRG:
 
 
 def _load(path: str) -> trg.TRG:
+    # bytes, so that a file that is not UTF-8 is a ParseError naming its line
     if path == "-":
-        return trg.parse_trg(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
+        return trg.parse_trg(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
         return trg.parse_trg(fh.read())
+
+
+def _exponent(text: str) -> float:
+    """argparse type of ``--c``: the trade-off exponent, in [1/2, 1]."""
+    c = float(text)
+    if not 0.5 <= c <= 1.0:
+        raise argparse.ArgumentTypeError(f"trade-off exponent {text} outside [1/2, 1]")
+    return c
 
 
 def _write(text: str, out: str | None) -> None:
@@ -318,7 +327,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--structure", choices=("order", "blocked", "simple", "recursive"),
                    default="blocked")
-    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--c", type=_exponent, default=0.5)
     p.set_defaults(func=cmd_build_info)
 
     p = sub.add_parser("query", help="answer one leq/meet/join query")
@@ -328,7 +337,7 @@ def main(argv=None) -> int:
     p.add_argument("y", type=int)
     p.add_argument("--structure", choices=("blocked", "simple", "recursive"),
                    default="blocked")
-    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--c", type=_exponent, default=0.5)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_query)
 

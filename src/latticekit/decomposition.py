@@ -18,6 +18,8 @@ header, taken in ascending id order.  The block containing the chunk's own
 header is attached as a "self block" child, which keeps node degrees at
 most d+1 while chunk sizes shrink by a factor d every two levels.  Chunks
 smaller than 2d stop the recursion and store their elements as leaf lists.
+The simple join index grows the same tree from its order index's block
+decomposition with every chunk a leaf: one level of blocks, one of chunks.
 
 Extraction sizes live downsets without walking them.  The extracted set E
 stays down-closed: when header x is taken, its block is Down(x) minus E,
@@ -78,7 +80,7 @@ def _induced(adj, universe: list[int]) -> list[list[int]]:
     return [[rank[w] for w in adj[x] if w in rank] for x in universe]
 
 
-def _local_downsets(in_nbrs, universe: list[int]) -> tuple[list[list[int]], int]:
+def _downsets_within(in_nbrs, universe: list[int]) -> tuple[list[list[int]], int]:
     """The downset inside ``universe`` of each of its members, in member
     order and as node ids, plus the edge visits of the walks."""
     local = _induced(in_nbrs, universe)
@@ -188,9 +190,6 @@ class BlockDecomposition:
     @property
     def m(self) -> int:
         return len(self.blocks)
-
-    def is_residual(self, x: int) -> bool:
-        return self.block_of[x] == self.m
 
 
 def block_decompose(g: TRG, k: int) -> BlockDecomposition:
@@ -302,13 +301,14 @@ class TreeNode:
     ``kind`` is "root", "block", "chunk", or "selfblock" (the block of a
     chunk's own header, which reuses the header element of its parent chunk
     node rather than introducing the element twice).  Leaves are chunk
-    nodes carrying their full element list.
+    nodes carrying their full element list; their ``children`` is the
+    shared empty tuple rather than a list of their own.
     """
 
     kind: str
     header: int | None
     size: int
-    children: list["TreeNode"] = field(default_factory=list)
+    children: list["TreeNode"] | tuple[()] = field(default_factory=list)
     leaf_elements: list[int] | None = None
 
     @property
@@ -322,7 +322,8 @@ class DecompositionTree:
 
     Built over a graph that surely has a top (a synthetic maximum is added
     when needed and translated back to "no answer" by queries).  ``d`` is
-    the effective degree parameter, at least 2.
+    the effective degree parameter, at least 2 in the recursive tree (the
+    simple join index's one-level tree keeps the unfloored degree).
     """
 
     graph: TRG
@@ -395,7 +396,40 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
     d = max(d, 2)
     n = g2.n
     ext = linear_extension(g2)
-    pos = ext.position
+    if n < 2 * d:
+        # whole lattice fits in a single leaf chunk under its top
+        parts = [("chunk", top, list(range(n)))]
+    else:
+        blocks, headers, residual, _ = _extract_blocks(
+            g2.in_neighbours, ext.order, -(-n // d))
+        parts = _root_blocks(headers, blocks, residual, top)
+    tree = _grow_tree(g2, top, added, d, parts, 2 * d, ext.position)
+    tree.verify()
+    return tree
+
+
+def _root_blocks(headers, blocks, residual, top: int) -> list[tuple[str, int, list]]:
+    """Root parts of a tree over one block decomposition of a topped
+    lattice: a block node per principal block in extraction order, then
+    the residual, whose top is the lattice's."""
+    parts = [("block", h, blk) for h, blk in zip(headers, blocks)]
+    if residual:
+        if top not in residual:
+            raise StructureError("a topped lattice leaves its top in the residual")
+        parts.append(("block", top, residual))
+    return parts
+
+
+def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts, leaf_size: int,
+               pos) -> DecompositionTree:
+    """The decomposition tree whose root children are ``parts``, each a
+    (kind, header, members) triple.
+
+    A block node gets one chunk child per element its header covers
+    (:func:`cover_decompose`).  A chunk smaller than ``leaf_size`` is a
+    leaf; a larger one is block-decomposed with block size |chunk|/d,
+    visiting its members in the linear-extension order ``pos`` gives.
+    """
     state = {"nodes": 0, "leaf_cells": 0, "depth": 0}
 
     def new_node(kind, header, size, depth) -> TreeNode:
@@ -412,7 +446,8 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
             expand_chunk(child, chunk, depth + 1)
 
     def expand_chunk(node: TreeNode, members: list[int], depth: int) -> None:
-        if len(members) < 2 * d:
+        if len(members) < leaf_size:
+            node.children = ()
             node.leaf_elements = sorted(members)
             state["leaf_cells"] += len(members)
             return
@@ -438,35 +473,16 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
             node.children.append(child)
             expand_block(child, self_members, depth + 1)
 
-    root = TreeNode(kind="root", header=None, size=n)
-    all_nodes = list(range(n))
-    if n < 2 * d:
-        # whole lattice fits in a single leaf chunk under its top
-        child = new_node("chunk", top, n, 1)
-        child.leaf_elements = all_nodes
-        state["leaf_cells"] += n
+    root = TreeNode(kind="root", header=None, size=g2.n)
+    for kind, h, members in parts:
+        child = new_node(kind, h, len(members), 1)
         root.children.append(child)
-    else:
-        k0 = -(-n // d)
-        blocks, headers, residual, _ = _extract_blocks(g2.in_neighbours, ext.order, k0)
-        for h, blk in zip(headers, blocks):
-            child = new_node("block", h, len(blk), 1)
-            root.children.append(child)
-            expand_block(child, blk, 1)
-        if residual:
-            if top not in residual:
-                raise StructureError("a topped lattice leaves its top in the residual")
-            child = new_node("block", top, len(residual), 1)
-            root.children.append(child)
-            expand_block(child, residual, 1)
-
-    tree = DecompositionTree(
-        graph=g2, root=root, d=d, top=top, virtual_top=added, n=n,
+        (expand_chunk if kind == "chunk" else expand_block)(child, members, 1)
+    return DecompositionTree(
+        graph=g2, root=root, d=d, top=top, virtual_top=added, n=g2.n,
         node_count=state["nodes"], leaf_cells=state["leaf_cells"],
         depth=state["depth"],
     )
-    tree.verify()
-    return tree
 
 
 def verify_block_decomposition(g: TRG, bd: BlockDecomposition,

@@ -2,15 +2,23 @@
 
 The degree d of a node is how many elements it covers (its in-degree in
 the TRG).  When d is small these two structures beat the generic meet
-machinery for joins:
+machinery for joins.  Both answer by one walk (:func:`recursive_join`):
+at each tree node, descend into the first child whose header is above
+both arguments, and at a leaf return the qualifier earliest in the linear
+extension.  They differ in the tree:
 
-* the simple index scans block headers in extraction order for the first
-  one above both arguments (the join must live in that block), then checks
-  the header's covered children and at worst one thin local downset:
-  order sqrt(n) + d element comparisons per query;
-* the recursive index descends the decomposition tree, at each node
-  picking the first child above both arguments, and finishes by scanning
-  one leaf chunk of size below 2d: order d * log(n)/log(d) comparisons.
+* the simple index walks a one-level tree over its order index's block
+  decomposition (block size sqrt(n)): a block node per block in
+  extraction order, the residual last under the top, and below each
+  block one leaf chunk per element its header covers.  The first header
+  above both arguments heads the block holding the join (an earlier
+  block's header would be above both too), and the first chunk whose
+  header is above both holds it (an earlier one would claim it).  Cost:
+  m header tests, at most d child tests and one chunk scan, each chunk
+  lying in the local downset of a thin node and so smaller than sqrt(n);
+* the recursive index descends the full decomposition tree and finishes
+  by scanning one leaf chunk of size below 2d: order d * log(n)/log(d)
+  comparisons.
 
 Both assume a top element and add a synthetic one when missing; a query
 whose answer is the synthetic top reports None instead.  Meets are served
@@ -27,10 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .decomposition import DecompositionTree, build_decomposition_tree
+from .decomposition import (
+    DecompositionTree,
+    _grow_tree,
+    _root_blocks,
+    build_decomposition_tree,
+)
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .order_index import OrderIndex, build_order_index
-from .trg import TRG, NodeIdError, StructureError, with_top
+from .trg import TRG, NodeIdError, with_top
 
 
 @dataclass
@@ -48,89 +61,50 @@ def max_degree(g: TRG) -> DegreeStats:
     return DegreeStats(max_degree=len(hist) - 1, histogram=hist)
 
 
-class SimpleJoinIndex:
-    """Header-scan join structure; see module docs."""
-
-    def __init__(self, g: TRG):
-        g2, top, added = with_top(g)
-        self.g = g2
-        self.n_orig = g.n
-        self.top = top
-        self.virtual_top = added
-        self.order = build_order_index(g2, k=ceil_sqrt(g2.n))
-        bd = self.order.bd
-        self.d = max_degree(g2).max_degree
-        # extraction order, residual appended as a final block headed by the top
-        blocks = list(bd.blocks)
-        headers = list(bd.headers)
-        if bd.residual:
-            if top not in bd.residual:
-                raise StructureError("a topped lattice leaves its top residual")
-            blocks.append(bd.residual)
-            headers.append(top)
-        self.block_order = headers
-        self.blocks = blocks
-        member_sets = [set(b) for b in blocks]
-        self.cover_children = [
-            [w for w in g2.in_neighbours[h] if w in member_sets[i]]
-            for i, h in enumerate(headers)
-        ]
-        # children of a block header are never headers themselves, so their
-        # full local downsets are already in the order index
-        self.local_downsets = [
-            {c: tuple(sorted(self.order.down[c])) for c in children}
-            for children in self.cover_children
-        ]
-        self.position = bd.extension.position
+class _TreeJoin:
+    """Join by :func:`recursive_join` over ``self.tree``, with ``self.order``
+    answering the order tests; the two join indexes differ only in the tree
+    they build."""
 
     def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
         """Least upper bound of x and y (None when none exists); ids outside
         [0, n) raise :class:`NodeIdError`."""
         if not (0 <= x < self.n_orig and 0 <= y < self.n_orig):
-            raise NodeIdError(x, y, self.n_orig)
-        oi = self.order
-        target = None
-        for i, h in enumerate(self.block_order):
-            if stats is not None:
-                stats.order_tests += 1
-            if oi.test_order(x, h) and oi.test_order(y, h):
-                target = i
-                break
-        if target is None:
-            return None  # unreachable when a top exists; kept for safety
-        h = self.block_order[target]
-        for c in self.cover_children[target]:
-            if stats is not None:
-                stats.order_tests += 1
-            if oi.test_order(x, c) and oi.test_order(y, c):
-                best = None
-                for z in self.local_downsets[target][c]:
-                    if stats is not None:
-                        stats.order_tests += 1
-                        stats.scanned_elements += 1
-                    if oi.test_order(x, z) and oi.test_order(y, z):
-                        # all qualifiers bound the join from above; the join
-                        # itself is among them and is earliest in extension
-                        if best is None or self.position[z] < self.position[best]:
-                            best = z
-                return self._externalise(best)
-        return self._externalise(h)
-
-    def _externalise(self, z: int | None) -> int | None:
-        if z is None or (self.virtual_top and z == self.top):
+            raise NodeIdError(x, y, n=self.n_orig)
+        z = recursive_join(self.tree, self.order, x, y, stats)
+        if z is None or (self.tree.virtual_top and z == self.tree.top):
             return None
         return z
 
     def _space_counts(self) -> SpaceReport:
-        leaf = sum(len(t) for d in self.local_downsets for t in d.values())
-        return replace(self.order._space_counts(), leaf_cells=leaf)
+        return replace(self.order._space_counts(), tree_nodes=self.tree.node_count,
+                       leaf_cells=self.tree.leaf_cells)
+
+
+class SimpleJoinIndex(_TreeJoin):
+    """One-level tree over the order index's block decomposition; see
+    module docs."""
+
+    def __init__(self, g: TRG):
+        g2, top, added = with_top(g)
+        self.g = g2
+        self.n_orig = g.n
+        self.virtual_top = added
+        self.order = build_order_index(g2, k=ceil_sqrt(g2.n))
+        self.d = max_degree(g2).max_degree
+        bd = self.order.bd
+        # every chunk is a leaf; each lies in a thin node's local downset
+        self.tree = _grow_tree(g2, top, added, self.d,
+                               _root_blocks(bd.headers, bd.blocks, bd.residual, top),
+                               g2.n + 1, bd.extension.position)
+        self.block_order = [b.header for b in self.tree.root.children]
 
 
 def build_simple_join_index(g: TRG) -> SimpleJoinIndex:
     return SimpleJoinIndex(g)
 
 
-class RecursiveJoinIndex:
+class RecursiveJoinIndex(_TreeJoin):
     """Decomposition-tree join structure; see module docs."""
 
     def __init__(self, g: TRG, d: int | None = None):
@@ -140,20 +114,6 @@ class RecursiveJoinIndex:
         self.n_orig = g.n
         self.order = build_order_index(g2, k=ceil_sqrt(g2.n))
         self.d = self.tree.d
-
-    def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
-        """Least upper bound of x and y (None when none exists); ids outside
-        [0, n) raise :class:`NodeIdError`."""
-        if not (0 <= x < self.n_orig and 0 <= y < self.n_orig):
-            raise NodeIdError(x, y, self.n_orig)
-        z = recursive_join(self.tree, self.order, x, y, stats)
-        if z is None or (self.tree.virtual_top and z == self.tree.top):
-            return None
-        return z
-
-    def _space_counts(self) -> SpaceReport:
-        return replace(self.order._space_counts(), tree_nodes=self.tree.node_count,
-                       leaf_cells=self.tree.leaf_cells)
 
 
 def build_recursive_join_index(g: TRG, d: int | None = None) -> RecursiveJoinIndex:

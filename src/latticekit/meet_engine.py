@@ -40,7 +40,7 @@ from dataclasses import replace
 
 from .decomposition import (
     SubblockEntry,
-    _local_downsets,
+    _downsets_within,
     block_decompose,
     subblock_decompose,
 )
@@ -82,14 +82,14 @@ class MeetIndex:
     def test_order(self, x: int, y: int, stats: QueryStats | None = None) -> bool:
         """True iff x <= y; ids outside [0, n) raise :class:`NodeIdError`."""
         if not (0 <= x < self.n and 0 <= y < self.n):
-            raise NodeIdError(x, y, self.n)
+            raise NodeIdError(x, y, n=self.n)
         return self.order.test_order(x, y, stats)
 
     def meet(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
         """Greatest lower bound of x and y, or None if they have none; ids
         outside [0, n) raise :class:`NodeIdError`."""
         if not (0 <= x < self.n and 0 <= y < self.n):
-            raise NodeIdError(x, y, self.n)
+            raise NodeIdError(x, y, n=self.n)
         oi = self.order
         null = self.null
         block_of = oi._block_of
@@ -242,7 +242,7 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
             tables.append(trows)
         pair_tables.append(tables)
 
-        downs, v = _local_downsets(g.in_neighbours, entry.residual)
+        downs, v = _downsets_within(g.in_neighbours, entry.residual)
         visits += v
         residual_downsets.append(
             {x: tuple(sorted(d)) for x, d in zip(entry.residual, downs)})

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from .decomposition import (
     BlockDecomposition,
+    _downsets_within,
     _induced,
-    _local_downsets,
     _walk,
     block_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
-from .trg import TRG, StructureError
+from .trg import TRG, NodeIdError, StructureError
 
 
 class OrderIndex:
@@ -91,9 +91,12 @@ class OrderIndex:
 
     def meet_with_header(self, i: int, x: int,
                          stats: QueryStats | None = None) -> int | None:
-        """Meet of x with the header of principal block i: one array read."""
+        """Meet of x with the header of principal block i: one array read.
+        An x outside [0, n) raises :class:`NodeIdError`."""
         if not 0 <= i < self._m:
             raise ValueError(f"block {i} is not principal")
+        if not 0 <= x < self.n:
+            raise NodeIdError(x, n=self.n)
         if stats is not None:
             stats.array_probes += 1
         z = self.header_meet[i][x]
@@ -174,7 +177,7 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
     visits += bd.edge_visits
     down: list[frozenset[int]] = [frozenset()] * g.n
     for universe in bd.blocks + [bd.residual]:
-        downs, v = _local_downsets(g.in_neighbours, universe)
+        downs, v = _downsets_within(g.in_neighbours, universe)
         visits += v
         for x, local in zip(universe, downs):
             # via a set, the table is sized to the downset; built from the

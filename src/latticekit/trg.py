@@ -39,8 +39,8 @@ class StructureError(ValueError):
 class NodeIdError(IndexError):
     """A query named a node id outside ``[0, n)`` (negative ids included)."""
 
-    def __init__(self, x: int, y: int, n: int):
-        super().__init__(f"node ids ({x}, {y}) must lie in [0, {n})")
+    def __init__(self, *ids: int, n: int):
+        super().__init__(f"node ids {', '.join(map(str, ids))} must lie in [0, {n})")
 
 
 @dataclass(eq=True)
@@ -93,12 +93,18 @@ class ReductionReport:
 def parse_trg(text: str | bytes) -> TRG:
     """Parse the ``lattice v1`` file format into a TRG.
 
-    Raises :class:`ParseError` (naming the line) for malformed lines, ids
-    out of range, self-loops, duplicate edges, or truncated input.  The
+    Raises :class:`ParseError` (naming the line) for bytes that are not
+    UTF-8, malformed lines, ids out of range, self-loops, duplicate edges,
+    or truncated input.  The
     graph is not checked for acyclicity here; see :func:`validate_reduction`.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number the bad byte's line as the parser numbers lines
+            line = len((text[:exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError(line, f"invalid UTF-8 byte {text[exc.start]:#04x}") from None
     stage = 0  # 0: magic line, 1: counts, 2: edges
     n = m = 0
     out_nb: list[list[int]] = []

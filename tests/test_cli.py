@@ -128,6 +128,26 @@ def test_query_bad_ids_exit_2(capsys, diamond_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("build-info", "{}", "--c", "0.3"),
+    ("query", "{}", "meet", "1", "2", "--c", "2"),
+    ("query", "{}", "join", "1", "2", "--c", "nan"),
+])
+def test_c_outside_range_exit_2(capsys, diamond_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(diamond_file) for a in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_validate_non_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.trg"
+    path.write_bytes(b"lattice v1\n2 1\n0 \xff1\n")
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "line 3" in err and "UTF-8" in err
+
+
 def test_query_stats_line(capsys, diamond_file):
     code, out, _ = run_cli(capsys, "query", diamond_file, "meet", "1", "2",
                            "--stats")

@@ -28,24 +28,26 @@ def test_max_degree_distributive_log_bound():
 def test_simple_index_structure(diamond):
     idx = lk.build_simple_join_index(diamond)
     assert not idx.virtual_top
-    assert idx.block_order == [1, 3]
-    assert all(len(ch) <= 2 for ch in idx.cover_children)
+    blocks = idx.tree.root.children
+    assert [b.header for b in blocks] == idx.block_order == [1, 3]
+    assert all(len(b.children) <= 2 for b in blocks)
 
 
 def test_simple_index_chain9(chain9):
     idx = lk.build_simple_join_index(chain9)
-    assert idx.block_order == [2, 5, 8]
-    assert idx.cover_children == [[1], [4], [7]]
+    blocks = idx.tree.root.children
+    assert [b.header for b in blocks] == idx.block_order == [2, 5, 8]
+    assert [[c.header for c in b.children] for b in blocks] == [[1], [4], [7]]
 
 
 def test_simple_index_invariants_boolean16():
     g = lk.generate(lk.FamilySpec("boolean", 4))
     idx = lk.build_simple_join_index(g)
     d = idx.d
-    for i, h in enumerate(idx.block_order):
-        assert len(idx.cover_children[i]) <= d
-        for c_node in idx.cover_children[i]:
-            assert len(idx.local_downsets[i][c_node]) < idx.order.bd.k
+    for block in idx.tree.root.children:
+        assert block.kind == "block" and len(block.children) <= d
+        for chunk in block.children:
+            assert chunk.is_leaf and len(chunk.leaf_elements) < idx.order.bd.k
 
 
 def test_simple_join_diamond(diamond):

@@ -42,11 +42,12 @@ def test_meet_index_and_dual_calls_go_through_instance_hooks():
 def test_recursive_join_calls_go_through_order_hook():
     g = lk.generate(lk.FamilySpec("grid", (6, 7)))
     c = lk.transitive_closure(g)
-    rj = lk.build_recursive_join_index(g)
-    counts = {}
-    rj.order.test_order = counting(rj.order.test_order, counts, "order")
-    stats = lk.QueryStats()
-    for x, y in pairs(g.n):
-        assert rj.join(x, y, stats) == lk.oracle_join(c, x, y)
-    # each counted comparison makes one or two order tests
-    assert 0 < stats.order_tests <= counts["order"] <= 2 * stats.order_tests
+    for build in (lk.build_recursive_join_index, lk.build_simple_join_index):
+        idx = build(g)
+        counts = {}
+        idx.order.test_order = counting(idx.order.test_order, counts, "order")
+        stats = lk.QueryStats()
+        for x, y in pairs(g.n):
+            assert idx.join(x, y, stats) == lk.oracle_join(c, x, y)
+        # each counted comparison makes one or two order tests
+        assert 0 < stats.order_tests <= counts["order"] <= 2 * stats.order_tests

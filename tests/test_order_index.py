@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import latticekit as lk
 
 
@@ -97,6 +99,14 @@ def test_meet_with_header_null():
     idx = lk.build_order_index(g, k=2)
     assert idx.bd.headers == [2]
     assert idx.meet_with_header(0, 1) is None
+
+
+def test_meet_with_header_rejects_bad_ids():
+    g = lk.generate(lk.FamilySpec("boolean", 3))
+    idx = lk.build_order_index(g)
+    for x in (-1, g.n):
+        with pytest.raises(lk.NodeIdError):
+            idx.meet_with_header(0, x)
 
 
 def test_space_counts(diamond):

@@ -37,6 +37,8 @@ def test_parse_bytes_roundtrip(diamond):
     ("lattice v1\n2 0\n0 1\n", 3, "unexpected line"),
     ("", 1, "header"),
     ("lattice v1\n", 1, "count line"),
+    (b"lattice v1\n2 1\n0 \xff1\n", 3, "UTF-8"),
+    (b"# caf\xc3\xa9\r\n\xe9\n", 2, "0xe9"),
 ])
 def test_parse_errors_name_the_line(text, line, fragment):
     with pytest.raises(lk.ParseError) as err:
