@@ -67,6 +67,26 @@ def _exponent(text: str) -> float:
     return c
 
 
+def _exponents(text: str) -> list[float]:
+    """argparse type of ``bench --c-list``: comma-separated exponents."""
+    return [_exponent(v) for v in text.split(",")]
+
+
+def _size(text: str) -> int | tuple[int, ...]:
+    """argparse type of ``gen --size``: an integer, or a comma list of them."""
+    parts = _ints(text)
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+def _ints(text: str) -> list[int]:
+    """argparse type of ``bench --sizes``: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer or a comma list of them") from None
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -94,11 +114,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    size: int | tuple[int, ...]
-    parts = [int(p) for p in str(args.size).split(",")]
-    size = parts[0] if len(parts) == 1 else tuple(parts)
     try:
-        g = generate(FamilySpec(family=args.family, size=size, seed=args.seed))
+        g = generate(FamilySpec(family=args.family, size=args.size, seed=args.seed))
     except (GenerationLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,8 +259,7 @@ def _bench_task(task):
 
 def cmd_bench(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    sizes = [int(s) for s in args.sizes.split(",")]
-    cs = [float(v) for v in args.c_list.split(",")]
+    sizes, cs = args.sizes, args.c_list
     structures = [s.strip() for s in args.structures.split(",")]
     for fam in families:
         if fam not in FAMILIES:
@@ -316,7 +332,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gen", help="generate a lattice family as a TRG file")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--size", required=True,
+    p.add_argument("--size", type=_size, required=True,
                    help="family size parameter (comma pair for grid dims)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("trg", "dot"), default="trg")
@@ -343,8 +359,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="benchmark families and emit CSV")
     p.add_argument("--families", default="boolean")
-    p.add_argument("--sizes", default="64,128,256,512,1024")
-    p.add_argument("--c-list", dest="c_list", default="0.5")
+    p.add_argument("--sizes", type=_ints, default="64,128,256,512,1024")
+    p.add_argument("--c-list", dest="c_list", type=_exponents, default="0.5")
     p.add_argument("--structures", default="blocked")
     p.add_argument("--queries", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -80,17 +80,20 @@ def _induced(adj, universe: list[int]) -> list[list[int]]:
     return [[rank[w] for w in adj[x] if w in rank] for x in universe]
 
 
-def _downsets_within(in_nbrs, universe: list[int]) -> tuple[list[list[int]], int]:
+def _downsets_within(in_nbrs, universe: list[int]) -> tuple[list[int], int]:
     """The downset inside ``universe`` of each of its members, in member
-    order and as node ids, plus the edge visits of the walks."""
+    order, as an ``int`` bitset over ranks in ``universe`` (bit r stands for
+    ``universe[r]``), plus the edge visits of the walks."""
     local = _induced(in_nbrs, universe)
     mark = [0] * len(universe)
     downs = []
     visits = 0
+    bit = [1 << r for r in range(len(universe))].__getitem__
     for r in range(len(universe)):
         found, v = _walk(local, r, mark, r + 1)
         visits += v
-        downs.append([universe[w] for w in found])
+        # distinct powers of two: their sum is their union
+        downs.append(sum(map(bit, found)))
     return downs, visits
 
 
@@ -100,9 +103,16 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _bit_ids(s: int, ids: list) -> list:
     """``ids[i]`` for every set bit i of ``s``, ascending.  The bits from
     the lowest set one up become a 0/1 byte string that selects from ``ids``,
-    so the cost follows the span of ``s``, not its highest bit."""
-    if not s:
-        return []
+    so the cost follows the span of ``s``, not its highest bit.  A few bits
+    (the residual scans of a meet query) are peeled off one by one instead,
+    which costs less than building the byte string."""
+    if s.bit_count() <= 10:
+        out = []
+        while s:
+            low = s & -s
+            out.append(ids[low.bit_length() - 1])
+            s ^= low
+        return out
     lo = (s & -s).bit_length() - 1
     bits = bin(s >> lo)[:1:-1].encode().translate(_BIT_BYTES)
     return list(compress(ids[lo:s.bit_length()], bits))

@@ -3,11 +3,15 @@
 On top of the order-testing structure, each principal block gets a
 subblock decomposition (size sqrt of the block length) and three stores:
 
-* per subblock header, an array of its meets with every block member,
-* per principal subblock, a square table with the meet of every member
-  pair, null whenever that meet falls outside the subblock, and
+* per subblock header, a typed row (``array.array``, the order index's
+  typecode) of its meets with every block member, indexed by rank in
+  the block,
+* per principal subblock of s members, one flat typed s * s table with
+  the meet of every member pair, the pair of ranks (rx, ry) at
+  ``rx * s + ry``, null whenever that meet falls outside the subblock,
+  and
 * per residual-subblock member, its downset inside the residual subblock
-  as a plain list.
+  as an ``int`` bitset over ranks in that subblock.
 
 A meet query collects candidate lower bounds: every principal block
 contributes the in-block meet of the two representatives (when both
@@ -23,7 +27,7 @@ Subheader rows and pair tables are the order index's meet-row flood run
 on the induced subgraph of a block or subblock, residual downsets the
 shared downward walk on the residual subblock's.  Blocks and subblocks
 partition the nodes, so node-indexed arrays give each element's rank in
-its block, its subblock, and its rank there.
+its block (the order index's ``rank``), its subblock, and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -36,16 +40,18 @@ point.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
 
 from .decomposition import (
     SubblockEntry,
+    _bit_ids,
     _downsets_within,
     block_decompose,
     subblock_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_pow
-from .order_index import OrderIndex, _meet_rows, build_order_index
+from .order_index import OrderIndex, _meet_rows, _typecode, build_order_index
 from .trg import TRG, NodeIdError, flip
 
 
@@ -54,10 +60,10 @@ class MeetIndex:
 
     def __init__(self, g: TRG, c: float, order: OrderIndex,
                  subs: list[SubblockEntry],
-                 subheader_meet: list[list[list[int]]],
-                 pair_tables: list[list[list[list[int]]]],
-                 residual_downsets: list[dict[int, tuple[int, ...]]],
-                 rank: list[int], sub_rank: list[int], sub_of: list[int],
+                 subheader_meet: list[list[array]],
+                 pair_tables: list[list[array]],
+                 residual_downsets: list[list[int]],
+                 sub_rank: list[int], sub_of: list[int],
                  build_edge_visits: int):
         self.g = g
         self.c = c
@@ -70,8 +76,9 @@ class MeetIndex:
         self.pair_tables = pair_tables
         self.residual_downsets = residual_downsets
         # sub_of: subblock index within the block, -1 for the residual
-        # subblock, -2 for headers and the residual block
-        self.rank = rank
+        # subblock, -2 for headers, the residual block and the null id n;
+        # sub_rank: rank in the subblock or residual subblock
+        self.rank = order.rank
         self.sub_of = sub_of
         self.sub_rank = sub_rank
         self.build_edge_visits = build_edge_visits
@@ -91,18 +98,14 @@ class MeetIndex:
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise NodeIdError(x, y, n=self.n)
         oi = self.order
-        null = self.null
-        block_of = oi._block_of
+        block_of = oi._block_of  # null ids fall in no principal block
         m = oi._m
         candidates: list[int] = []
-        for i in range(m):
-            row = oi.header_meet[i]
+        for i, row in enumerate(oi.header_meet):
             xi = row[x]
             yi = row[y]
             if stats is not None:
                 stats.array_probes += 2
-            if xi == null or yi == null:
-                continue
             if block_of[xi] != i or block_of[yi] != i:
                 continue
             z = self.meet_in_block(i, xi, yi, stats)
@@ -110,7 +113,7 @@ class MeetIndex:
                 candidates.append(z)
         if block_of[x] == m and block_of[y] == m:
             # both residual: scan x's local downset for lower bounds of y
-            for z in oi.down[x]:
+            for z in _bit_ids(oi.down[x], self.bd.residual):
                 if stats is not None:
                     stats.scanned_elements += 1
                 if oi.test_order(z, y, stats):
@@ -132,23 +135,22 @@ class MeetIndex:
         sub_of = self.sub_of
         sub_rank = self.sub_rank
         candidates: list[int] = []
-        for j in range(entry.count):
-            row = self.subheader_meet[i][j]
+        for j, row in enumerate(self.subheader_meet[i]):
             xj = row[rx]
             yj = row[ry]
             if stats is not None:
                 stats.array_probes += 2
-            if xj == self.null or yj == self.null:
-                continue
             if sub_of[xj] != j or sub_of[yj] != j:
                 continue
-            z = self.pair_tables[i][j][sub_rank[xj]][sub_rank[yj]]
+            s = len(entry.subblocks[j])
+            z = self.pair_tables[i][j][sub_rank[xj] * s + sub_rank[yj]]
             if stats is not None:
                 stats.table_probes += 1
             if z != self.null:
                 candidates.append(z)
         if sub_of[xi] == -1 and sub_of[yi] == -1:
-            for z in self.residual_downsets[i][xi]:
+            for z in _bit_ids(self.residual_downsets[i][sub_rank[xi]],
+                              entry.residual):
                 if stats is not None:
                     stats.scanned_elements += 1
                 if self.order.test_order(z, yi, stats):
@@ -186,8 +188,8 @@ class MeetIndex:
                                      for row in rows),
             pair_table_cells=sum(map(self.pair_table_cells_of_block,
                                      range(len(self.subs)))),
-            residual_list_cells=sum(len(v) for d in self.residual_downsets
-                                    for v in d.values()),
+            residual_list_cells=sum(d.bit_count() for ds in self.residual_downsets
+                                    for d in ds),
         )
         return own if self.dual is None else own.merged(self.dual._space_counts())
 
@@ -211,21 +213,20 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     oi = build_order_index(g, bd)
     position = bd.extension.position
     visits = oi.build_edge_visits
-    rank = [0] * n
+    rank = oi.rank
+    blank = array(_typecode(n), [n])
     sub_rank = [0] * n
-    sub_of = [-2] * n
+    sub_of = [-2] * (n + 1)
 
     subs: list[SubblockEntry] = []
-    subheader_meet: list[list[list[int]]] = []
-    pair_tables: list[list[list[list[int]]]] = []
-    residual_downsets: list[dict[int, tuple[int, ...]]] = []
+    subheader_meet: list[list[array]] = []
+    pair_tables: list[list[array]] = []
+    residual_downsets: list[list[int]] = []
 
     for i, blk in enumerate(bd.blocks):
         entry = subblock_decompose(g, bd, i)
         visits += entry.edge_visits
         subs.append(entry)
-        for r, x in enumerate(blk):
-            rank[x] = r
 
         rows, v = _meet_rows(g, [rank[h] for h in entry.subheaders], position, blk)
         visits += v
@@ -237,20 +238,24 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                 sub_rank[x] = r
                 sub_of[x] = j
             # meets of every member pair, computed inside the subblock
-            trows, v = _meet_rows(g, range(len(sub)), position, sub)
+            s = len(sub)
+            trows, v = _meet_rows(g, range(s), position, sub)
             visits += v
-            tables.append(trows)
+            table = blank * (s * s)
+            for r, row in enumerate(trows):
+                table[r * s:(r + 1) * s] = row
+            tables.append(table)
         pair_tables.append(tables)
 
         downs, v = _downsets_within(g.in_neighbours, entry.residual)
         visits += v
-        residual_downsets.append(
-            {x: tuple(sorted(d)) for x, d in zip(entry.residual, downs)})
-        for x in entry.residual:
+        residual_downsets.append(downs)
+        for r, x in enumerate(entry.residual):
+            sub_rank[x] = r
             sub_of[x] = -1
 
     idx = MeetIndex(g, c, oi, subs, subheader_meet, pair_tables,
-                    residual_downsets, rank, sub_rank, sub_of, visits)
+                    residual_downsets, sub_rank, sub_of, visits)
     if with_dual:
         idx.dual = build_meet_index(flip(g), c, with_dual=False, k=k)
     return idx

@@ -2,22 +2,28 @@
 
 Two stores answer "is x <= y?" in O(1):
 
-* one meet array per block header, mapping every element z to its meet
-  with that header (so the representative of any element inside any
-  principal block costs a single array read), and
-* one frozen set per element holding its local downset (the part of its
-  downset inside its own block).
+* one typed meet row (an ``array.array``) per block header, mapping every
+  element z to its meet with that header (so the representative of any
+  element inside any principal block costs a single array read), and
+* one ``int`` bitset per element holding its local downset (the part of
+  its downset inside its own block), bit r standing for the member of
+  rank r in that block (or in the residual); a node-indexed ``rank``
+  list gives each element's rank.
 
-The first is filled by the meet-row flood (:func:`_meet_rows`, which also
-fills the meet engine's tables), the second by the shared downward walk
-run on each block's induced subgraph.
+Rows hold 2-byte ids while the null id n fits (n <= 65535), 4-byte ids
+beyond (:func:`_typecode`).  Every row owns its buffer, so a
+``sys.getsizeof`` walk sees the bytes the index holds.
+
+The first store is filled by the meet-row flood (:func:`_meet_rows`, which
+also fills the meet engine's tables), the second by the shared downward
+walk run on each block's induced subgraph.
 
 The query splits into three cases.  If x sits in a principal block, map y
-to its representative in that block and test membership in the
-representative's local downset.  If x and y are both residual, test
-membership directly.  A residual x can never be below a principal y.
-Every call costs at most five probes (array reads, one set membership,
-and a few block-id comparisons).
+to its representative in that block and test x's bit in the
+representative's local downset.  If x and y are both residual, test the
+bit directly.  A residual x can never be below a principal y.  Every call
+costs at most five probes (array reads, one bit test, and a few block-id
+comparisons).
 
 The structure is immutable after the build; concurrent queries are safe.
 Callers that want probe counts pass their own ``QueryStats`` recorder, so
@@ -25,6 +31,8 @@ counting never contends across threads.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .decomposition import (
     BlockDecomposition,
@@ -38,18 +46,23 @@ from .trg import TRG, NodeIdError, StructureError
 
 
 class OrderIndex:
-    """Header-meet arrays plus local-downset sets; see module docs."""
+    """Header-meet rows plus local-downset bitsets; see module docs."""
 
     def __init__(self, g: TRG, bd: BlockDecomposition, header_meet, down,
-                 build_edge_visits: int):
+                 rank: list[int], build_edge_visits: int):
         self.g = g
         self.bd = bd
         self.n = g.n
         self.null = g.n  # sentinel id meaning "no meet" in the dense arrays
         self.header_meet = header_meet
         self.down = down
+        # rank of each node in its block (or the residual): its bit in the
+        # local downsets of that block
+        self.rank = rank
         self.build_edge_visits = build_edge_visits
-        self._block_of = bd.block_of
+        # one slot past the end gives the null id the residual's block, so
+        # a null meet fails the same-block test without a test of its own
+        self._block_of = bd.block_of + [bd.m]
         self._m = bd.m
         self.position = bd.extension.position
 
@@ -66,19 +79,19 @@ class OrderIndex:
         bx = block_of[x]
         if bx < self._m:
             yi = self.header_meet[bx][y]
-            if yi == self.null or block_of[yi] != bx:
+            if block_of[yi] != bx:
                 if stats is not None:
                     stats.array_probes += 1
                     stats.note_order_test(3)
                 return False
-            hit = x in self.down[yi]
+            hit = self.down[yi] >> self.rank[x] & 1 == 1
             if stats is not None:
                 stats.array_probes += 1
                 stats.dict_probes += 1
                 stats.note_order_test(4)
             return hit
         if block_of[y] == self._m:
-            hit = x in self.down[y]
+            hit = self.down[y] >> self.rank[x] & 1 == 1
             if stats is not None:
                 stats.dict_probes += 1
                 stats.note_order_test(3)
@@ -106,7 +119,7 @@ class OrderIndex:
 
     @property
     def down_entries(self) -> int:
-        return sum(len(s) for s in self.down)
+        return sum(s.bit_count() for s in self.down)
 
     def _space_counts(self) -> SpaceReport:
         return SpaceReport(
@@ -114,6 +127,12 @@ class OrderIndex:
             header_meet_cells=self._m * self.n,
             down_entries=self.down_entries,
         )
+
+
+def _typecode(n: int) -> str:
+    """``array`` typecode of rows holding ids in [0, n], the null id n
+    included: unsigned 2-byte items while n fits, 4-byte items beyond."""
+    return "H" if n <= 0xFFFF else "I"
 
 
 def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
@@ -128,8 +147,8 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
     With a ``universe`` (ascending ids, interval-closed) the floods run on
     its induced subgraph, heads and row indexes being ranks in it.  A stored
     meet is still the lattice meet: a common lower bound inside the universe
-    forces the meet inside.  Returns the rows (null is ``g.n``) and the edge
-    visits.
+    forces the meet inside.  Returns the rows, one typed array each (null is
+    ``g.n``), and the edge visits.
     """
     if universe is None:
         in_nbrs, out_nbrs = g.in_neighbours, g.out_neighbours
@@ -139,6 +158,7 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
         position = [position[x] for x in universe]
     null = g.n
     size = len(in_nbrs)
+    blank = array(_typecode(null), [null]) * size
     mark = [0] * size
     token = 0
     visits = 0
@@ -148,13 +168,15 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
         members, v = _walk(in_nbrs, h, mark, token - 1)
         visits += v
         members.sort(key=position.__getitem__)
-        row = [null] * size
+        row = blank[:]
+        # written through a memoryview, which converts ints faster than
+        # the array's own item assignment; released before the row is kept
+        view = memoryview(row)
         for y in reversed(members):
             if mark[y] == token:
                 continue
             mark[y] = token
-            # the id objects stored are the graph's own, not new ints
-            meet = row[y] = y if universe is None else universe[y]
+            meet = view[y] = y if universe is None else universe[y]
             stack = [y]
             while stack:
                 nb = out_nbrs[stack.pop()]
@@ -162,8 +184,9 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
                 for w in nb:
                     if mark[w] < token:
                         mark[w] = token
-                        row[w] = meet
+                        view[w] = meet
                         stack.append(w)
+        view.release()
         rows.append(row)
     return rows, visits
 
@@ -175,20 +198,21 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
         bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
     header_meet, visits = _meet_rows(g, bd.headers, bd.extension.position)
     visits += bd.edge_visits
-    down: list[frozenset[int]] = [frozenset()] * g.n
+    down = [0] * g.n
+    rank = [0] * g.n
     for universe in bd.blocks + [bd.residual]:
         downs, v = _downsets_within(g.in_neighbours, universe)
         visits += v
-        for x, local in zip(universe, downs):
-            # via a set, the table is sized to the downset; built from the
-            # list it keeps the slack of growing one element at a time
-            down[x] = frozenset(set(local))
+        for r, (x, local) in enumerate(zip(universe, downs)):
+            down[x] = local
+            rank[x] = r
 
-    idx = OrderIndex(g, bd, header_meet, down, visits)
+    idx = OrderIndex(g, bd, header_meet, down, rank, visits)
     headers = set(bd.headers)
     for x in range(g.n):
         # non-headers must be thin inside their own block
-        if x not in headers and len(down[x]) >= bd.k:
+        size = down[x].bit_count()
+        if x not in headers and size >= bd.k:
             raise StructureError(
-                f"node {x} has local downset of size {len(down[x])} >= k={bd.k}")
+                f"node {x} has local downset of size {size} >= k={bd.k}")
     return idx

@@ -48,6 +48,13 @@ def small_lattices():
     return out
 
 
+def bit_members(bits: int, universe) -> set:
+    """The members of ``universe`` that a bitset over ranks in it holds (bit
+    r for ``universe[r]``); a bit beyond the universe fails the test."""
+    assert bits >> len(universe) == 0, (bits, len(universe))
+    return {x for r, x in enumerate(universe) if bits >> r & 1}
+
+
 def brute_force_covers(values, divides):
     """Covering pairs of a finite order given as an explicit predicate."""
     pairs = []

@@ -132,10 +132,25 @@ def test_query_bad_ids_exit_2(capsys, diamond_file):
     ("build-info", "{}", "--c", "0.3"),
     ("query", "{}", "meet", "1", "2", "--c", "2"),
     ("query", "{}", "join", "1", "2", "--c", "nan"),
+    ("bench", "--sizes", "8", "--c-list", "0.3"),
+    ("bench", "--sizes", "8", "--c-list", "0.5,x"),
 ])
 def test_c_outside_range_exit_2(capsys, diamond_file, argv):
     with pytest.raises(SystemExit) as exc:
         main([a.format(diamond_file) for a in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "chain", "--size", "abc"),
+    ("gen", "--family", "grid", "--size", "3,"),
+    ("bench", "--sizes", "x"),
+    ("bench", "--sizes", "8,1e3"),
+])
+def test_non_integer_sizes_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 

@@ -1,8 +1,12 @@
+import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 import latticekit as lk
+from conftest import bit_members
 
 
 def oracle_tables(g):
@@ -245,18 +249,21 @@ def test_residual_downsets_and_pair_tables_match_references(family_zoo):
         c = oracle_tables(g)
         for i, entry in enumerate(idx.subs):
             rset = set(entry.residual)
-            for x in entry.residual:
-                assert set(idx.residual_downsets[i][x]) == lk.downset(
-                    g, x, restrict=rset), (spec, i, x)
+            for r, x in enumerate(entry.residual):
+                assert idx.sub_rank[x] == r
+                assert bit_members(idx.residual_downsets[i][r], entry.residual) == (
+                    lk.downset(g, x, restrict=rset)), (spec, i, x)
             for j, sub in enumerate(entry.subblocks):
-                table = idx.pair_tables[i][j]
+                s = len(sub)
+                table = list(idx.pair_tables[i][j])
+                assert len(table) == s * s
                 members = set(sub)
                 for a, x in enumerate(sub):
                     for b, y in enumerate(sub):
                         expected = lk.oracle_meet(c, x, y)
                         if expected not in members:
                             expected = idx.null
-                        assert table[a][b] == expected, (spec, i, j, x, y)
+                        assert table[a * s + b] == expected, (spec, i, j, x, y)
 
 
 @pytest.mark.parametrize("x, y", [(-1, 3), (3, -1), (0, 16), (16, 0)])
@@ -265,3 +272,48 @@ def test_query_ids_out_of_range_raise(x, y):
     for query in (idx.meet, idx.join, idx.test_order):
         with pytest.raises(lk.NodeIdError):
             query(x, y)
+
+
+def held_bytes(root, exclude) -> int:
+    """``sys.getsizeof`` summed over every object reachable from ``root`` and
+    not from ``exclude``, following containers and package objects."""
+    def referents(o):
+        if isinstance(o, (list, tuple, set, frozenset)):
+            return o
+        if isinstance(o, dict):
+            return list(o.keys()) + list(o.values())
+        if type(o).__module__.startswith("latticekit"):
+            return [o.__dict__]
+        return ()
+
+    seen: set[int] = set()
+    total = 0
+    for roots, counted in (([exclude], False), ([root], True)):
+        stack = list(roots)
+        while stack:
+            o = stack.pop()
+            if id(o) in seen:
+                continue
+            seen.add(id(o))
+            if counted:
+                total += sys.getsizeof(o)
+            stack.extend(referents(o))
+    return total
+
+
+def test_getsizeof_walk_agrees_with_tracemalloc():
+    # the walk is how index bytes are reported; a row that borrowed its
+    # buffer (a memoryview, a view into a shared base) would hide its bytes
+    g = lk.generate(lk.FamilySpec("boolean", 10))
+    assert g.n >= 1000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idx = lk.build_meet_index(g)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    walked = held_bytes(idx, g)
+    assert abs(walked - traced) <= 0.15 * traced, (walked, traced)

@@ -1,16 +1,32 @@
 import random
+from array import array
 
 import pytest
 
 import latticekit as lk
+from conftest import bit_members
 
 
 def test_diamond_header_rows(diamond):
     idx = lk.build_order_index(diamond, k=2)
     # headers are the atom 1 and the top 3
     assert idx.bd.headers == [1, 3]
-    assert idx.header_meet[0] == [0, 1, 0, 1]   # meets with the atom
-    assert idx.header_meet[1] == [0, 1, 2, 3]   # meets with the top: identity
+    assert list(idx.header_meet[0]) == [0, 1, 0, 1]   # meets with the atom
+    assert list(idx.header_meet[1]) == [0, 1, 2, 3]   # meets with the top: identity
+
+
+def test_row_typecode_follows_n():
+    from latticekit.order_index import _typecode
+    # the null id n is stored too: 2-byte items up to n = 65535
+    for n, itemsize in ((65535, 2), (65536, 4)):
+        row = array(_typecode(n), [n])
+        assert row.itemsize == itemsize and row[0] == n
+    assert _typecode(65535) == "H" and _typecode(65536) == "I"
+    idx = lk.build_meet_index(lk.generate(lk.FamilySpec("boolean", 6)))
+    rows = idx.order.header_meet + [r for rows in idx.subheader_meet for r in rows]
+    tables = [t for ts in idx.pair_tables for t in ts]
+    assert rows and tables
+    assert all(a.itemsize == 2 for a in rows + tables)
 
 
 def test_header_rows_match_oracle(family_zoo):
@@ -31,11 +47,13 @@ def test_down_dicts_are_local_downsets(family_zoo):
         bd = idx.bd
         for x in range(g.n):
             if bd.block_of[x] < bd.m:
-                members = set(bd.blocks[bd.block_of[x]])
+                universe = bd.blocks[bd.block_of[x]]
             else:
-                members = set(bd.residual)
-            assert idx.down[x] == lk.downset(g, x, restrict=members)
-            assert x in idx.down[x]
+                universe = bd.residual
+            assert universe[idx.rank[x]] == x
+            members = bit_members(idx.down[x], universe)
+            assert members == lk.downset(g, x, restrict=set(universe))
+            assert x in members
 
 
 def test_order_matches_closure_exhaustive(small_lattices, family_zoo):
