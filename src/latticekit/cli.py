@@ -136,13 +136,27 @@ def _build_structure(g: trg.TRG, structure: str, c: float):
     raise ValueError(f"unknown structure {structure!r}")
 
 
+def _query_index(g: trg.TRG, kind: str, structure: str, c: float):
+    """The index that answers ``kind`` queries on g; a join index answers
+    meets as joins on the flipped graph."""
+    if kind == "leq":
+        return build_order_index(g)
+    if kind == "meet" and structure != "blocked":
+        g = trg.flip(g)
+    return _build_structure(g, structure, c)
+
+
 def cmd_build_info(args) -> int:
     try:
         g = _load(args.file)
     except (OSError, trg.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    idx = _build_structure(g, args.structure, args.c)
+    try:
+        idx = _build_structure(g, args.structure, args.c)
+    except trg.StructureError as exc:  # a cycle, say
+        print(f"invalid: {exc}")
+        return 1
     for line in space_report(idx).lines():
         print(line)
     if hasattr(idx, "build_edge_visits"):
@@ -162,17 +176,16 @@ def cmd_query(args) -> int:
         return 2
     stats = QueryStats() if args.stats else None
     kind = args.kind
+    try:
+        idx = _query_index(g, kind, args.structure, args.c)
+    except trg.StructureError as exc:  # a cycle, say
+        print(f"invalid: {exc}")
+        return 1
     if kind == "leq":
-        idx = build_order_index(g)
         result: bool | int | None = idx.test_order(x, y, stats)
-    elif args.structure == "blocked":
-        idx = meet_engine.build_meet_index(g, args.c)
-        result = idx.meet(x, y, stats) if kind == "meet" else idx.join(x, y, stats)
+    elif kind == "meet" and args.structure == "blocked":
+        result = idx.meet(x, y, stats)
     else:
-        build = (degree_index.build_simple_join_index if args.structure == "simple"
-                 else degree_index.build_recursive_join_index)
-        # joins on the flipped graph are meets on the original
-        idx = build(trg.flip(g)) if kind == "meet" else build(g)
         result = idx.join(x, y, stats)
     if isinstance(result, bool):
         print("true" if result else "false")

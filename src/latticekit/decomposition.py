@@ -17,9 +17,13 @@ split by a cover decomposition: one chunk per element covered by its
 header, taken in ascending id order.  The block containing the chunk's own
 header is attached as a "self block" child, which keeps node degrees at
 most d+1 while chunk sizes shrink by a factor d every two levels.  Chunks
-smaller than 2d stop the recursion and store their elements as leaf lists.
-The simple join index grows the same tree from its order index's block
-decomposition with every chunk a leaf: one level of blocks, one of chunks.
+smaller than 2d stop the recursion as leaves, their elements in
+linear-extension order.  Nodes are plain tuples, built bottom-up in one
+pass (:class:`DecompositionTree` gives the layout): a tuple per node costs
+no ``__dict__``, and it reads at list speed where a typed array would box
+an int on every read.  The simple join index grows the same tree from its
+order index's block decomposition with every chunk a leaf: one level of
+blocks, one of chunks.
 
 Extraction sizes live downsets without walking them.  The extracted set E
 stays down-closed: when header x is taken, its block is Down(x) minus E,
@@ -38,7 +42,7 @@ walk tests membership.  Structural invariants raise
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .metrics import ceil_log, ceil_sqrt
@@ -305,39 +309,30 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
 
 
 @dataclass
-class TreeNode:
-    """One node of the decomposition tree.
-
-    ``kind`` is "root", "block", "chunk", or "selfblock" (the block of a
-    chunk's own header, which reuses the header element of its parent chunk
-    node rather than introducing the element twice).  Leaves are chunk
-    nodes carrying their full element list; their ``children`` is the
-    shared empty tuple rather than a list of their own.
-    """
-
-    kind: str
-    header: int | None
-    size: int
-    children: list["TreeNode"] | tuple[()] = field(default_factory=list)
-    leaf_elements: list[int] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_elements is not None
-
-
-@dataclass
 class DecompositionTree:
     """Alternating block/cover recursion tree for degree-bounded join search.
 
-    Built over a graph that surely has a top (a synthetic maximum is added
-    when needed and translated back to "no answer" by queries).  ``d`` is
-    the effective degree parameter, at least 2 in the recursive tree (the
-    simple join index's one-level tree keeps the unfloored degree).
+    Nodes are plain 3-tuples, and a node's kind follows from where it sits:
+
+    * the root is ``(None, children, None)``; a root child is a block
+      unless it is a leaf;
+    * a block node is ``(header, chunks, None)``, one chunk per element its
+      header covers;
+    * an inner chunk node is ``(header, blocks, self_block)``, where the self
+      block is the block of the chunk's own header (a block node reusing
+      that header), or None when the header is alone in it;
+    * a leaf chunk is ``(header, None, elements)``, its elements in
+      ascending linear-extension position.
+
+    Headers and leaf elements are the graph's own id objects.  Built over a
+    graph that surely has a top (a synthetic maximum is added when needed
+    and translated back to "no answer" by queries).  ``d`` is the effective
+    degree parameter, at least 2 in the recursive tree (the simple join
+    index's one-level tree keeps the unfloored degree).
     """
 
     graph: TRG
-    root: TreeNode
+    root: tuple
     d: int
     top: int
     virtual_top: bool
@@ -348,46 +343,63 @@ class DecompositionTree:
 
     def verify(self) -> None:
         """Check the structural invariants, raising :class:`StructureError`;
-        cheap, runs on every build."""
+        cheap, runs on every build.  Sizes are recomputed bottom-up: a block
+        holds its header and its chunks, a chunk its blocks and its self
+        block (or its header alone when it has none)."""
         d = self.d
         max_depth = 2 * ceil_log(self.n, d) + 2
-        seen_chunk_headers: set[int] = set()
-        seen_block_headers: set[int] = set()
+        chunk_headers: set[int] = set()
+        block_headers: set[int] = set()
         leaf_members: set[int] = set()
 
-        def walk(node: TreeNode, depth: int, chunk_anc_size: int | None):
-            if len(node.children) > d + 1:
-                raise StructureError(
-                    f"node degree {len(node.children)} exceeds {d + 1}")
-            if node.kind != "root" and depth > max_depth:
+        def enter(node, depth: int):
+            header, kids, tail = node
+            degree = 0 if kids is None else len(kids) + (tail is not None)
+            if degree > d + 1:
+                raise StructureError(f"node degree {degree} exceeds {d + 1}")
+            if depth > max_depth:
                 raise StructureError(f"depth {depth} exceeds bound {max_depth}")
-            if node.kind == "chunk":
-                if node.header in seen_chunk_headers:
-                    raise StructureError(f"chunk header {node.header} repeats")
-                seen_chunk_headers.add(node.header)
-                # chunk sizes shrink by a factor d every two levels
-                if chunk_anc_size is not None and node.size * d > chunk_anc_size:
-                    raise StructureError(
-                        f"chunk of size {node.size} under chunk of size "
-                        f"{chunk_anc_size} (d={d})")
-                chunk_anc_size = node.size
-                if node.is_leaf:
-                    if node.size >= 2 * d:
-                        raise StructureError("leaf chunk too large")
-                    if len(node.leaf_elements) != node.size:
-                        raise StructureError("leaf list length differs from its size")
-                    for x in node.leaf_elements:
-                        if x in leaf_members:
-                            raise StructureError("leaf lists overlap")
-                        leaf_members.add(x)
-            elif node.kind == "block":
-                if node.header in seen_block_headers:
-                    raise StructureError(f"block header {node.header} repeats")
-                seen_block_headers.add(node.header)
-            for child in node.children:
-                walk(child, depth + 1, chunk_anc_size)
+            return header, kids, tail
 
-        walk(self.root, 0, None)
+        def block(node, depth: int, self_block: bool = False) -> tuple[int, list[int]]:
+            """The block's size and the sizes of its chunks."""
+            header, kids, _ = enter(node, depth)
+            if not self_block:
+                if header in block_headers:
+                    raise StructureError(f"block header {header} repeats")
+                block_headers.add(header)
+            sizes = [chunk(c, depth + 1) for c in kids]
+            return 1 + sum(sizes), sizes
+
+        def chunk(node, depth: int) -> int:
+            """The chunk's size."""
+            header, kids, tail = enter(node, depth)
+            if header in chunk_headers:
+                raise StructureError(f"chunk header {header} repeats")
+            chunk_headers.add(header)
+            if kids is None:
+                if len(tail) >= 2 * d:
+                    raise StructureError("leaf chunk too large")
+                held = len(leaf_members)
+                leaf_members.update(tail)
+                if len(leaf_members) != held + len(tail):
+                    raise StructureError("leaf lists overlap")
+                return len(tail)
+            parts = [block(b, depth + 1) for b in kids]
+            parts.append((1, []) if tail is None else block(tail, depth + 1, True))
+            size = sum(s for s, _ in parts)
+            # chunk sizes shrink by a factor d every two levels
+            below = max((s for _, sizes in parts for s in sizes), default=0)
+            if below * d > size:
+                raise StructureError(
+                    f"chunk of size {below} under chunk of size {size} (d={d})")
+            return size
+
+        for child in enter(self.root, 0)[1]:
+            if child[1] is None:
+                chunk(child, 1)
+            else:
+                block(child, 1)
 
 
 def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
@@ -413,7 +425,7 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
         blocks, headers, residual, _ = _extract_blocks(
             g2.in_neighbours, ext.order, -(-n // d))
         parts = _root_blocks(headers, blocks, residual, top)
-    tree = _grow_tree(g2, top, added, d, parts, 2 * d, ext.position)
+    tree = _grow_tree(g2, top, added, d, parts, 2 * d, ext)
     tree.verify()
     return tree
 
@@ -431,67 +443,58 @@ def _root_blocks(headers, blocks, residual, top: int) -> list[tuple[str, int, li
 
 
 def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts, leaf_size: int,
-               pos) -> DecompositionTree:
+               ext: LinearExtension) -> DecompositionTree:
     """The decomposition tree whose root children are ``parts``, each a
-    (kind, header, members) triple.
+    (kind, header, members) triple, built bottom-up as the tuples
+    :class:`DecompositionTree` describes.
 
     A block node gets one chunk child per element its header covers
     (:func:`cover_decompose`).  A chunk smaller than ``leaf_size`` is a
-    leaf; a larger one is block-decomposed with block size |chunk|/d,
-    visiting its members in the linear-extension order ``pos`` gives.
+    leaf, its members in the order of the linear extension ``ext``; a
+    larger one is block-decomposed with block size |chunk|/d, visiting its
+    members in that order.
     """
-    state = {"nodes": 0, "leaf_cells": 0, "depth": 0}
+    pos = ext.position
+    nodes = leaf_cells = deepest = 0
 
-    def new_node(kind, header, size, depth) -> TreeNode:
-        state["nodes"] += 1
-        if depth > state["depth"]:
-            state["depth"] = depth
-        return TreeNode(kind=kind, header=header, size=size)
+    def reached(depth: int) -> None:
+        nonlocal nodes, deepest
+        nodes += 1
+        if depth > deepest:
+            deepest = depth
 
-    def expand_block(node: TreeNode, members: list[int], depth: int) -> None:
-        # one chunk per element the header covers inside the block
-        for c, chunk in cover_decompose(g2, members, node.header):
-            child = new_node("chunk", c, len(chunk), depth + 1)
-            node.children.append(child)
-            expand_chunk(child, chunk, depth + 1)
+    def block(h: int, members: list[int], depth: int) -> tuple:
+        reached(depth)
+        return (h, tuple(chunk(c, m, depth + 1)
+                         for c, m in cover_decompose(g2, members, h)), None)
 
-    def expand_chunk(node: TreeNode, members: list[int], depth: int) -> None:
+    def chunk(me: int, members: list[int], depth: int) -> tuple:
+        nonlocal leaf_cells
+        reached(depth)
         if len(members) < leaf_size:
-            node.children = ()
-            node.leaf_elements = sorted(members)
-            state["leaf_cells"] += len(members)
-            return
+            leaf_cells += len(members)
+            return (me, None, tuple(sorted(members, key=pos.__getitem__)))
         k = -(-len(members) // d)  # ceil(|chunk| / d)
         blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k, pos)
-        me = node.header
         if residual:
             if me not in residual:
                 raise StructureError("chunk header must top the residual")
             self_members = residual
-            principal = list(zip(headers, blocks))
         else:
             if not headers or headers[-1] != me:
                 raise StructureError("chunk header must head the last block")
-            self_members = blocks[-1]
-            principal = list(zip(headers[:-1], blocks[:-1]))
-        for h, blk in principal:
-            child = new_node("block", h, len(blk), depth + 1)
-            node.children.append(child)
-            expand_block(child, blk, depth + 1)
-        if len(self_members) >= 2:
-            child = new_node("selfblock", me, len(self_members), depth + 1)
-            node.children.append(child)
-            expand_block(child, self_members, depth + 1)
+            headers.pop()
+            self_members = blocks.pop()
+        kids = tuple(block(h, blk, depth + 1) for h, blk in zip(headers, blocks))
+        if len(self_members) < 2:
+            return (me, kids, None)
+        return (me, kids, block(me, self_members, depth + 1))
 
-    root = TreeNode(kind="root", header=None, size=g2.n)
-    for kind, h, members in parts:
-        child = new_node(kind, h, len(members), 1)
-        root.children.append(child)
-        (expand_chunk if kind == "chunk" else expand_block)(child, members, 1)
+    root = (None, tuple((chunk if kind == "chunk" else block)(h, members, 1)
+                        for kind, h, members in parts), None)
     return DecompositionTree(
         graph=g2, root=root, d=d, top=top, virtual_top=added, n=g2.n,
-        node_count=state["nodes"], leaf_cells=state["leaf_cells"],
-        depth=state["depth"],
+        node_count=nodes, leaf_cells=leaf_cells, depth=deepest,
     )
 
 

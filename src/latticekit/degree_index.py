@@ -4,8 +4,10 @@ The degree d of a node is how many elements it covers (its in-degree in
 the TRG).  When d is small these two structures beat the generic meet
 machinery for joins.  Both answer by one walk (:func:`recursive_join`):
 at each tree node, descend into the first child whose header is above
-both arguments, and at a leaf return the qualifier earliest in the linear
-extension.  They differ in the tree:
+both arguments, and at a leaf return the first element above both.  A
+leaf stores its elements in linear-extension order and the join lies
+below every other upper bound, so the scan stops at the join.  They
+differ in the tree:
 
 * the simple index walks a one-level tree over its order index's block
   decomposition (block size sqrt(n)): a block node per block in
@@ -25,10 +27,16 @@ whose answer is the synthetic top reports None instead.  Meets are served
 by building either structure on the flipped graph (whose maximum degree
 may differ).
 
-Stats semantics: ``order_tests`` here counts element-versus-pair
-comparisons (header tests, child tests, and leaf scans), the unit of work
-in the cost bounds above; each unit is at most two constant-time order
-probes.  ``tree_nodes_visited`` doubles as the depth reached.
+Stats semantics, per query:
+
+* ``tree_nodes_visited`` counts the nodes the walk entered, the root
+  included, and doubles as the depth reached;
+* ``order_tests`` counts element-versus-pair comparisons: each child
+  header tested on the way down (a self block is entered untested) and
+  each leaf element scanned.  This is the unit of work in the cost bounds
+  above; each unit is at most two constant-time order probes;
+* ``scanned_elements`` counts the leaf elements scanned: the join's
+  1-based place in its leaf when the walk ends in one, else 0.
 """
 
 from __future__ import annotations
@@ -96,8 +104,8 @@ class SimpleJoinIndex(_TreeJoin):
         # every chunk is a leaf; each lies in a thin node's local downset
         self.tree = _grow_tree(g2, top, added, self.d,
                                _root_blocks(bd.headers, bd.blocks, bd.residual, top),
-                               g2.n + 1, bd.extension.position)
-        self.block_order = [b.header for b in self.tree.root.children]
+                               g2.n + 1, bd.extension)
+        self.block_order = [b[0] for b in self.tree.root[1]]
 
 
 def build_simple_join_index(g: TRG) -> SimpleJoinIndex:
@@ -124,39 +132,40 @@ def recursive_join(tree: DecompositionTree, oi: OrderIndex, x: int, y: int,
                    stats: QueryStats | None = None) -> int | None:
     """Walk the decomposition tree to the join of x and y.
 
-    At each node, descend into the first child whose header is above both
-    arguments (a self-block child qualifies by construction, its header
-    being the current chunk's own header).  If no child qualifies the
-    answer is the current node's header.  At a leaf, the join is the
-    qualifier earliest in the linear extension of the stored chunk.
-    May return the synthetic top; callers translate that to None.
+    At each inner node, descend into the first principal child whose header
+    is above both arguments, else into the self block (its header is the
+    current chunk's own, already known above both), else answer the
+    current node's header.  At a leaf, answer the first element above both:
+    its elements are in linear-extension order, and the join lies below
+    every other upper bound, so it comes first.  May return the synthetic
+    top; callers translate that to None.  The stats are counted from where
+    a scan stopped, so a walk without stats does no counting.
     """
-    position = oi.position
+    test = oi.test_order
     node = tree.root
     while True:
         if stats is not None:
             stats.tree_nodes_visited += 1
-        if node.is_leaf:
-            best = None
-            for z in node.leaf_elements:
-                if stats is not None:
-                    stats.order_tests += 1
-                    stats.scanned_elements += 1
-                if oi.test_order(x, z) and oi.test_order(y, z):
-                    if best is None or position[z] < position[best]:
-                        best = z
-            return best
-        chosen = None
-        for child in node.children:
-            if child.kind == "selfblock":
-                # header equals this chunk's header, already known above x, y
-                chosen = child
-                break
+        header, kids, tail = node
+        if kids is None:
+            for z in tail:
+                if test(x, z) and test(y, z):
+                    break
+            else:
+                z = None
             if stats is not None:
-                stats.order_tests += 1
-            if oi.test_order(x, child.header) and oi.test_order(y, child.header):
-                chosen = child
+                scanned = len(tail) if z is None else tail.index(z) + 1
+                stats.order_tests += scanned
+                stats.scanned_elements += scanned
+            return z
+        for child in kids:
+            h = child[0]
+            if test(x, h) and test(y, h):
                 break
-        if chosen is None:
-            return node.header  # None only at the root, meaning no upper bound
-        node = chosen
+        else:
+            child = tail
+        if stats is not None:
+            stats.order_tests += len(kids) if child is tail else kids.index(child) + 1
+        if child is None:
+            return header  # None only at the root, meaning no upper bound
+        node = child

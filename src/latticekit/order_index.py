@@ -64,7 +64,6 @@ class OrderIndex:
         # a null meet fails the same-block test without a test of its own
         self._block_of = bd.block_of + [bd.m]
         self._m = bd.m
-        self.position = bd.extension.position
 
     # -- queries ---------------------------------------------------------
 

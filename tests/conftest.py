@@ -55,6 +55,22 @@ def bit_members(bits: int, universe) -> set:
     return {x for r, x in enumerate(universe) if bits >> r & 1}
 
 
+def tree_nodes(node) -> list[tuple]:
+    """Every node of a decomposition tree from ``node`` down, in preorder; a
+    node is (header, None, elements) for a leaf, else (header, children,
+    self block or None)."""
+    _, kids, tail = node
+    if kids is None:
+        return [node]
+    below = kids if tail is None else kids + (tail,)
+    return [node] + [n for child in below for n in tree_nodes(child)]
+
+
+def tree_leaves(node) -> list[tuple]:
+    """Every leaf of a decomposition tree below ``node``, left to right."""
+    return [n for n in tree_nodes(node) if n[1] is None]
+
+
 def brute_force_covers(values, divides):
     """Covering pairs of a finite order given as an explicit predicate."""
     pairs = []

@@ -163,6 +163,25 @@ def test_validate_non_utf8_exit_2(capsys, tmp_path):
     assert "line 3" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("build-info", "--structure", "blocked"),
+    ("build-info", "--structure", "order"),
+    ("build-info", "--structure", "simple"),
+    ("build-info", "--structure", "recursive"),
+    ("query", "leq", "0", "1"),
+    ("query", "meet", "0", "1"),
+    ("query", "join", "0", "1", "--structure", "simple"),
+    ("query", "meet", "0", "1", "--structure", "recursive"),
+])
+def test_cycle_invalid_exit_1(capsys, tmp_path, argv):
+    path = tmp_path / "cyc.trg"
+    path.write_text("lattice v1\n3 3\n0 1\n1 2\n2 0\n")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out.startswith("invalid: ") and "cycle" in out
+    assert not err
+
+
 def test_query_stats_line(capsys, diamond_file):
     code, out, _ = run_cli(capsys, "query", diamond_file, "meet", "1", "2",
                            "--stats")

@@ -3,6 +3,7 @@ import pytest
 import latticekit as lk
 from latticekit.decomposition import dump_blocks
 from latticekit.metrics import ceil_sqrt
+from conftest import tree_leaves
 
 
 def blocks_partition(g, bd):
@@ -188,10 +189,8 @@ def test_tree_small_lattice_single_leaf():
     # n below twice the degree parameter: root plus one leaf holding all
     g = lk.generate(lk.FamilySpec("boolean", 2))
     tree = lk.build_decomposition_tree(g, d=4)
-    assert len(tree.root.children) == 1
-    leaf = tree.root.children[0]
-    assert leaf.is_leaf and leaf.header == 3
-    assert leaf.leaf_elements == [0, 1, 2, 3]
+    _, kids, _ = tree.root
+    assert kids == ((3, None, (0, 1, 2, 3)),)  # a leaf, in extension order
 
 
 def test_tree_chain_16_depth():
@@ -207,15 +206,9 @@ def test_tree_boolean3():
     tree = lk.build_decomposition_tree(g)
     assert tree.d == 3
     # initial block size ceil(8/3) = 3 extracts the two downset halves
-    assert [c.header for c in tree.root.children] == [3, 7]
-    def all_leaves(node, out):
-        if node.is_leaf:
-            out.append(node)
-        for ch in node.children:
-            all_leaves(ch, out)
-        return out
-    leaves = all_leaves(tree.root, [])
-    assert all(len(l.leaf_elements) < 2 * tree.d for l in leaves)
+    assert [c[0] for c in tree.root[1]] == [3, 7]
+    leaves = tree_leaves(tree.root)
+    assert leaves and all(len(elements) < 2 * tree.d for _, _, elements in leaves)
 
 
 def test_tree_rejects_understated_degree():
@@ -229,3 +222,65 @@ def test_tree_virtual_top_for_antichain():
     tree = lk.build_decomposition_tree(g)
     assert tree.virtual_top and tree.top == 3
     assert tree.n == 4
+
+
+def leaf(header, *elements):
+    return (header, None, (header,) + elements)
+
+
+def block(header, *chunks):
+    return (header, chunks, None)
+
+
+def deep_path():
+    """A block/chunk path from the root down to a leaf at depth 13."""
+    node = leaf(100)
+    for i in range(6):
+        node = block(200 + i, (300 + i, (node,), None))
+    return node
+
+
+# d = 2 and n = 16: depth bound 2 * 4 + 2 = 10, leaves below 4 elements
+BROKEN_TREES = {
+    "degree": ((block(10), block(11), block(12), block(13)), "node degree 4"),
+    "depth": ((deep_path(),), "depth 11 exceeds bound 10"),
+    "chunk header": ((block(10, leaf(1, 0), leaf(1, 2)),), "chunk header 1 repeats"),
+    "block header": ((block(10, leaf(1, 0)), block(10, leaf(3, 2))),
+                     "block header 10 repeats"),
+    # chunk 9 holds block 8 (4 elements) and itself: a size-3 chunk in it
+    # is not a factor 2 smaller
+    "chunk shrink": ((block(10, (9, (block(8, leaf(7, 5, 6)),), None)),),
+                     "chunk of size 3 under chunk of size 5"),
+    "leaf size": ((block(10, leaf(4, 0, 1, 2)),), "leaf chunk too large"),
+    "leaf overlap": ((block(10, leaf(1, 0), leaf(3, 0)),), "leaf lists overlap"),
+}
+
+
+def hand_tree(root_children):
+    return lk.DecompositionTree(
+        graph=lk.generate(lk.FamilySpec("chain", 16)), root=(None, root_children, None),
+        d=2, top=15, virtual_top=False, n=16)
+
+
+def test_verify_accepts_hand_built_tree():
+    chunk = (9, (block(8, leaf(7, 5)),), block(9, leaf(6)))  # size 5 with its self block
+    hand_tree((block(10, leaf(1, 0), leaf(3, 2), chunk),)).verify()
+
+
+@pytest.mark.parametrize("case", BROKEN_TREES, ids=str)
+def test_verify_rejects_broken_tree(case):
+    children, message = BROKEN_TREES[case]
+    with pytest.raises(lk.StructureError, match=message):
+        hand_tree(children).verify()
+
+
+def test_tree_leaves_in_extension_order(family_zoo):
+    for _, g0 in family_zoo:
+        for g in (g0, lk.flip(g0)):
+            for idx in (lk.build_recursive_join_index(g), lk.build_simple_join_index(g)):
+                pos = lk.linear_extension(idx.tree.graph).position
+                leaves = tree_leaves(idx.tree.root)
+                assert sum(len(e) for _, _, e in leaves) == idx.tree.leaf_cells
+                for _, _, elements in leaves:
+                    ranks = [pos[x] for x in elements]
+                    assert ranks == sorted(ranks)

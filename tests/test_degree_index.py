@@ -4,7 +4,9 @@ import random
 import pytest
 
 import latticekit as lk
+from latticekit.degree_index import recursive_join
 from latticekit.metrics import ceil_log
+from conftest import tree_leaves
 
 
 def test_max_degree_chain(chain9):
@@ -28,26 +30,27 @@ def test_max_degree_distributive_log_bound():
 def test_simple_index_structure(diamond):
     idx = lk.build_simple_join_index(diamond)
     assert not idx.virtual_top
-    blocks = idx.tree.root.children
-    assert [b.header for b in blocks] == idx.block_order == [1, 3]
-    assert all(len(b.children) <= 2 for b in blocks)
+    blocks = idx.tree.root[1]
+    assert [b[0] for b in blocks] == idx.block_order == [1, 3]
+    assert all(len(b[1]) <= 2 and b[2] is None for b in blocks)
 
 
 def test_simple_index_chain9(chain9):
     idx = lk.build_simple_join_index(chain9)
-    blocks = idx.tree.root.children
-    assert [b.header for b in blocks] == idx.block_order == [2, 5, 8]
-    assert [[c.header for c in b.children] for b in blocks] == [[1], [4], [7]]
+    blocks = idx.tree.root[1]
+    assert [b[0] for b in blocks] == idx.block_order == [2, 5, 8]
+    assert [[c[0] for c in b[1]] for b in blocks] == [[1], [4], [7]]
 
 
 def test_simple_index_invariants_boolean16():
     g = lk.generate(lk.FamilySpec("boolean", 4))
     idx = lk.build_simple_join_index(g)
     d = idx.d
-    for block in idx.tree.root.children:
-        assert block.kind == "block" and len(block.children) <= d
-        for chunk in block.children:
-            assert chunk.is_leaf and len(chunk.leaf_elements) < idx.order.bd.k
+    for _, chunks, tail in idx.tree.root[1]:
+        # a block: chunk children and no self block
+        assert chunks is not None and tail is None and len(chunks) <= d
+        for _, kids, elements in chunks:
+            assert kids is None and len(elements) < idx.order.bd.k
 
 
 def test_simple_join_diamond(diamond):
@@ -141,6 +144,28 @@ def test_recursive_join_work_budget(family_zoo):
             idx.join(x, y, stats)
             assert stats.order_tests <= budget, (spec, stats.order_tests, budget)
             assert stats.tree_nodes_visited <= idx.tree.depth + 1
+
+
+def test_leaf_scan_stops_at_the_join(family_zoo):
+    # leaves do not overlap, so the leaf holding the join is where the
+    # walk ended; the join is the first upper bound in extension order
+    for _, g0 in family_zoo:
+        for g in (g0, lk.flip(g0)):
+            for idx in (lk.build_recursive_join_index(g), lk.build_simple_join_index(g)):
+                place = {x: elements.index(x) + 1
+                         for _, _, elements in tree_leaves(idx.tree.root)
+                         for x in elements}
+                rng = random.Random(3)
+                stats = lk.QueryStats()
+                in_leaves = 0
+                for _ in range(200):
+                    x, y = rng.randrange(g.n), rng.randrange(g.n)
+                    stats.reset()
+                    z = recursive_join(idx.tree, idx.order, x, y, stats)
+                    # inner headers are in no leaf
+                    assert stats.scanned_elements == place.get(z, 0)
+                    in_leaves += z in place
+                assert in_leaves
 
 
 def test_recursive_answer_at_internal_node():

@@ -11,6 +11,7 @@ import pytest
 import latticekit as lk
 from latticekit import decomposition
 from latticekit.metrics import ceil_sqrt
+from conftest import tree_nodes
 
 
 def walk_extract(in_nbrs, visit_order, k):
@@ -40,11 +41,6 @@ def block_sizes(n):
     return sorted({1, min(2, n), ceil_sqrt(n), -(-n // 2), n})
 
 
-def tree_shape(node):
-    return (node.kind, node.header, node.size, node.leaf_elements,
-            [tree_shape(c) for c in node.children])
-
-
 def decompositions(g):
     """Every extraction result the package derives from g."""
     out = []
@@ -53,7 +49,7 @@ def decompositions(g):
         subs = [lk.subblock_decompose(g, bd, i) for i in range(bd.m)]
         out.append((k, bd.blocks, bd.headers, bd.residual,
                     [(e.subblocks, e.subheaders, e.residual) for e in subs]))
-    return out, tree_shape(lk.build_decomposition_tree(g).root)
+    return out, lk.build_decomposition_tree(g).root
 
 
 def lattices(family_zoo, small_lattices):
@@ -99,9 +95,8 @@ def test_extracted_ids_are_the_graphs_own_objects(spec):
             assert {id(x) for x in bd.residual} <= held
         tree = lk.build_decomposition_tree(g)
         held = held_ids(tree.graph.in_neighbours, tree.graph.out_neighbours)
-        leaves, stack = [], [tree.root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            leaves.extend(node.leaf_elements or ())
+        nodes = tree_nodes(tree.root)[1:]
+        leaves = [x for _, kids, elements in nodes if kids is None for x in elements]
         assert leaves and {id(x) for x in leaves} <= held
+        # headers too, but the top: ``with_top`` names it by an int of its own
+        assert {id(h) for h, _, _ in nodes if h != tree.top} <= held

@@ -301,19 +301,37 @@ def held_bytes(root, exclude) -> int:
     return total
 
 
+def walked_and_traced(build, g) -> tuple[int, int]:
+    """Bytes of ``build(g)`` by the walk, and by ``tracemalloc`` over the
+    build."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idx = build(g)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held_bytes(idx, g), traced
+
+
 def test_getsizeof_walk_agrees_with_tracemalloc():
     # the walk is how index bytes are reported; a row that borrowed its
     # buffer (a memoryview, a view into a shared base) would hide its bytes
     g = lk.generate(lk.FamilySpec("boolean", 10))
     assert g.n >= 1000
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        idx = lk.build_meet_index(g)
-        gc.collect()
-        traced = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    walked = held_bytes(idx, g)
+    walked, traced = walked_and_traced(lk.build_meet_index, g)
     assert abs(walked - traced) <= 0.15 * traced, (walked, traced)
+
+
+@pytest.mark.parametrize("build", [lk.build_simple_join_index,
+                                   lk.build_recursive_join_index],
+                         ids=["simple", "recursive"])
+@pytest.mark.parametrize("spec", [lk.FamilySpec("boolean", 10),
+                                  lk.FamilySpec("grid", (32, 32))],
+                         ids=["boolean", "grid"])
+def test_getsizeof_walk_agrees_with_tracemalloc_join_indexes(build, spec):
+    # tree nodes are tuples: no per-node __dict__ for the walk to over-count
+    walked, traced = walked_and_traced(build, lk.generate(spec))
+    assert abs(walked - traced) <= 0.05 * traced, (walked, traced)
