@@ -17,13 +17,18 @@ split by a cover decomposition: one chunk per element covered by its
 header, taken in ascending id order.  The block containing the chunk's own
 header is attached as a "self block" child, which keeps node degrees at
 most d+1 while chunk sizes shrink by a factor d every two levels.  Chunks
-smaller than 2d stop the recursion as leaves, their elements in
-linear-extension order.  Nodes are plain tuples, built bottom-up in one
-pass (:class:`DecompositionTree` gives the layout): a tuple per node costs
+smaller than 2d stop the recursion as leaves.  Nodes are plain tuples,
+built bottom-up in one pass (:class:`DecompositionTree` gives the layout):
+a tuple per node costs
 no ``__dict__``, and it reads at list speed where a typed array would box
 an int on every read.  The simple join index grows the same tree from its
 order index's block decomposition with every chunk a leaf: one level of
 blocks, one of chunks.
+
+Every member list (block, residual, subblock, chunk, leaf) keeps the order
+of the linear extension that drove the extraction: a header is its block's
+last member, a rank inside any universe is a position in the extension,
+and later stages visit a universe in its stored order, so none is stored.
 
 Extraction sizes live downsets without walking them.  The extracted set E
 stays down-closed: when header x is taken, its block is Down(x) minus E,
@@ -41,19 +46,11 @@ walk tests membership.  Structural invariants raise
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
 from .metrics import ceil_log, ceil_sqrt
-from .trg import (
-    TRG,
-    LinearExtension,
-    StructureError,
-    downset,
-    linear_extension,
-    with_top,
-)
+from .trg import TRG, StructureError, downset, linear_extension, with_top
 
 
 def _walk(adj, x: int, mark: list[int], token: int) -> tuple[list[int], int]:
@@ -79,7 +76,7 @@ def _walk(adj, x: int, mark: list[int], token: int) -> tuple[list[int], int]:
 
 def _induced(adj, universe: list[int]) -> list[list[int]]:
     """``adj`` restricted to the nodes of ``universe``, each renumbered to its
-    rank in that list.  Neighbour lists stay ascending when the universe is."""
+    rank in that list.  Neighbour lists keep the order of ``adj``'s."""
     rank = {x: r for r, x in enumerate(universe)}
     return [[rank[w] for w in adj[x] if w in rank] for x in universe]
 
@@ -137,23 +134,25 @@ def _extract_blocks(in_nbrs, visit_order, k):
     bitset is dropped once every node covering it has been visited, which
     bounds the scratch by the thin nodes whose covers are still ahead.
 
-    Bit positions map back through a table of the caller's own id objects
-    (those of ``in_nbrs`` where a node has one), so blocks hold no new ints.
+    Bit p stands for the node visited p-th, so lists come out in visit
+    order (a block ends with its header) and map back through a table of
+    the id objects of ``in_nbrs`` where it has them: no new ints.
     """
-    ids = [None] * len(in_nbrs)
+    own = [None] * len(in_nbrs)
     covers = [0] * len(in_nbrs)  # covers of each node still to be visited
     for x in visit_order:
-        ids[x] = x
+        own[x] = x
     for nb in in_nbrs:
         for w in nb:
-            ids[w] = w
+            own[w] = w
             covers[w] += 1
+    ids = [own[x] for x in visit_order]
     live = (1 << len(in_nbrs)) - 1
     down = [0] * len(in_nbrs)
     blocks: list[list[int]] = []
     headers: list[int] = []
-    for x in visit_order:
-        s = 1 << x
+    for p, x in enumerate(visit_order):
+        s = 1 << p
         for c in in_nbrs[x]:
             s |= down[c]
             covers[c] -= 1
@@ -163,19 +162,18 @@ def _extract_blocks(in_nbrs, visit_order, k):
         if s.bit_count() >= k:
             live ^= s
             blocks.append(_bit_ids(s, ids))
-            headers.append(x)
+            headers.append(ids[p])
         else:
             down[x] = s
     return blocks, headers, _bit_ids(live, ids), sum(map(len, in_nbrs))
 
 
-def _extract_within(in_nbrs, members: list[int], k: int, position):
-    """:func:`_extract_blocks` on the subgraph induced on ``members``
-    (ascending ids), visited in the order of ``position``; the results are
-    node ids again."""
-    order = sorted(range(len(members)), key=lambda r: position[members[r]])
+def _extract_within(in_nbrs, members: list[int], k: int):
+    """:func:`_extract_blocks` on the subgraph induced on ``members`` (in
+    linear-extension order), visited in their stored order; the results are
+    node ids again, each list in that order."""
     blocks, headers, residual, visits = _extract_blocks(
-        _induced(in_nbrs, members), order, k
+        _induced(in_nbrs, members), range(len(members)), k
     )
     ids = members.__getitem__
     return ([list(map(ids, b)) for b in blocks], list(map(ids, headers)),
@@ -186,11 +184,11 @@ def _extract_within(in_nbrs, members: list[int], k: int, position):
 class BlockDecomposition:
     """Partition of the lattice into principal blocks plus a residual.
 
-    ``blocks[i]`` is sorted ascending; ``headers[i]`` is its top element and
-    the minimal fat node that triggered the extraction.  ``block_of`` maps
-    a node to its block index, with ``m`` (== len(blocks)) standing for the
-    residual.  ``extension`` is the linear extension that drove the build
-    and is reused by every structure derived from this decomposition.
+    ``blocks[i]`` and ``residual`` are in linear-extension order, so
+    ``headers[i]``, the top element and the minimal fat node that triggered
+    the extraction, is the block's last member.  ``block_of`` maps a node
+    to its block index, and the null id n to ``m`` (== len(blocks)), which
+    stands for the residual.
     """
 
     k: int
@@ -198,7 +196,6 @@ class BlockDecomposition:
     headers: list[int]
     residual: list[int]
     block_of: list[int]
-    extension: LinearExtension
     edge_visits: int = 0
 
     @property
@@ -218,9 +215,9 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"block size {k} outside [1, {g.n}]")
-    ext = linear_extension(g)
-    blocks, headers, residual, visits = _extract_blocks(g.in_neighbours, ext.order, k)
-    block_of = [len(blocks)] * g.n
+    blocks, headers, residual, visits = _extract_blocks(
+        g.in_neighbours, linear_extension(g).order, k)
+    block_of = [len(blocks)] * (g.n + 1)
     total = len(residual)
     for i, blk in enumerate(blocks):
         total += len(blk)
@@ -234,7 +231,7 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
         raise StructureError("more than n/k principal blocks")
     return BlockDecomposition(
         k=k, blocks=blocks, headers=headers, residual=residual,
-        block_of=block_of, extension=ext, edge_visits=visits,
+        block_of=block_of, edge_visits=visits,
     )
 
 
@@ -259,16 +256,18 @@ def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int) -> SubblockEntry:
 
     The block is interval-closed in the lattice, so the induced subgraph of
     the TRG is exactly the covering relation of the block's own order and
-    the same extraction procedure applies unchanged.
+    the same extraction procedure applies unchanged, visiting the members
+    in their stored order.  A header not last raises :class:`StructureError`.
     """
     if not 0 <= i < bd.m:
         raise ValueError(f"block index {i} is not principal")
     blk = bd.blocks[i]
-    header = bd.headers[i]
-    members = [x for x in blk if x != header]
+    if blk[-1] != bd.headers[i]:
+        raise StructureError(f"block {i} does not end with its header")
+    members = blk[:-1]
     r = ceil_sqrt(len(blk))
     subblocks, subheaders, residual, visits = _extract_within(
-        g.in_neighbours, members, r, bd.extension.position
+        g.in_neighbours, members, r
     )
     if sum(map(len, subblocks)) + len(residual) != len(members):
         raise StructureError(f"subblocks of block {i} do not partition it")
@@ -283,18 +282,17 @@ def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int) -> SubblockEntry:
 def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]:
     """Partition ``members`` minus its top ``header`` by the header's covered
     children, ascending id: each child takes whatever of its downset inside
-    ``members`` is not claimed by an earlier child.
+    ``members`` is not claimed by an earlier child.  Each chunk lists its
+    members in their order in ``members`` (linear-extension order for
+    blocks and chunks, so a chunk ends with its header).
 
     ``members`` must be interval-closed with top ``header`` (true for blocks
     and chunks), which makes the restricted walk compute exactly the stated
     set difference.
     """
-    universe = sorted(members)
-    h = bisect_left(universe, header)
-    if universe[h:h + 1] != [header]:
-        raise ValueError(f"header {header} not in the member set")
-    in_nbrs = _induced(g.in_neighbours, universe)
-    mark = [0] * len(universe)
+    h = members.index(header)  # ValueError when the header is no member
+    in_nbrs = _induced(g.in_neighbours, members)
+    mark = [0] * len(members)
     mark[h] = 1  # the header and every claimed node stay closed
     chunks: list[tuple[int, list[int]]] = []
     for c in in_nbrs[h]:
@@ -302,7 +300,7 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
             raise StructureError("cover children must be pairwise incomparable")
         chunk, _ = _walk(in_nbrs, c, mark, 1)
         chunk.sort()
-        chunks.append((universe[c], [universe[w] for w in chunk]))
+        chunks.append((members[c], [members[w] for w in chunk]))
     if not all(mark):
         raise StructureError("cover decomposition failed to partition the block")
     return chunks
@@ -322,7 +320,7 @@ class DecompositionTree:
       block is the block of the chunk's own header (a block node reusing
       that header), or None when the header is alone in it;
     * a leaf chunk is ``(header, None, elements)``, its elements in
-      ascending linear-extension position.
+      linear-extension order.
 
     Headers and leaf elements are the graph's own id objects.  Built over a
     graph that surely has a top (a synthetic maximum is added when needed
@@ -417,15 +415,15 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
         raise ValueError(f"degree parameter {d} below actual maximum degree {true_d}")
     d = max(d, 2)
     n = g2.n
-    ext = linear_extension(g2)
+    order = linear_extension(g2).order
     if n < 2 * d:
         # whole lattice fits in a single leaf chunk under its top
-        parts = [("chunk", top, list(range(n)))]
+        parts = [("chunk", top, order)]
     else:
         blocks, headers, residual, _ = _extract_blocks(
-            g2.in_neighbours, ext.order, -(-n // d))
+            g2.in_neighbours, order, -(-n // d))
         parts = _root_blocks(headers, blocks, residual, top)
-    tree = _grow_tree(g2, top, added, d, parts, 2 * d, ext)
+    tree = _grow_tree(g2, top, added, d, parts, 2 * d)
     tree.verify()
     return tree
 
@@ -442,19 +440,17 @@ def _root_blocks(headers, blocks, residual, top: int) -> list[tuple[str, int, li
     return parts
 
 
-def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts, leaf_size: int,
-               ext: LinearExtension) -> DecompositionTree:
+def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts,
+               leaf_size: int) -> DecompositionTree:
     """The decomposition tree whose root children are ``parts``, each a
     (kind, header, members) triple, built bottom-up as the tuples
     :class:`DecompositionTree` describes.
 
     A block node gets one chunk child per element its header covers
     (:func:`cover_decompose`).  A chunk smaller than ``leaf_size`` is a
-    leaf, its members in the order of the linear extension ``ext``; a
-    larger one is block-decomposed with block size |chunk|/d, visiting its
-    members in that order.
+    leaf, its members in their linear-extension order; a larger one is
+    block-decomposed with block size |chunk|/d, visiting them in it.
     """
-    pos = ext.position
     nodes = leaf_cells = deepest = 0
 
     def reached(depth: int) -> None:
@@ -473,9 +469,9 @@ def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts, leaf_size: int,
         reached(depth)
         if len(members) < leaf_size:
             leaf_cells += len(members)
-            return (me, None, tuple(sorted(members, key=pos.__getitem__)))
+            return (me, None, tuple(members))
         k = -(-len(members) // d)  # ceil(|chunk| / d)
-        blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k, pos)
+        blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k)
         if residual:
             if me not in residual:
                 raise StructureError("chunk header must top the residual")

@@ -104,7 +104,7 @@ class SimpleJoinIndex(_TreeJoin):
         # every chunk is a leaf; each lies in a thin node's local downset
         self.tree = _grow_tree(g2, top, added, self.d,
                                _root_blocks(bd.headers, bd.blocks, bd.residual, top),
-                               g2.n + 1, bd.extension)
+                               g2.n + 1)
         self.block_order = [b[0] for b in self.tree.root[1]]
 
 

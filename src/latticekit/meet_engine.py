@@ -44,7 +44,6 @@ from array import array
 from dataclasses import replace
 
 from .decomposition import (
-    SubblockEntry,
     _bit_ids,
     _downsets_within,
     block_decompose,
@@ -59,19 +58,20 @@ class MeetIndex:
     """Two-level meet/join structure; built by :func:`build_meet_index`."""
 
     def __init__(self, g: TRG, c: float, order: OrderIndex,
-                 subs: list[SubblockEntry],
+                 sub_sizes: list[list[int]], sub_residuals: list[list[int]],
                  subheader_meet: list[list[array]],
                  pair_tables: list[list[array]],
                  residual_downsets: list[list[int]],
                  sub_rank: list[int], sub_of: list[int],
                  build_edge_visits: int):
-        self.g = g
         self.c = c
         self.n = g.n
         self.null = g.n
         self.order = order
         self.bd = order.bd
-        self.subs = subs
+        # per block: its subblocks' sizes and its residual subblock
+        self.sub_sizes = sub_sizes
+        self.sub_residuals = sub_residuals
         self.subheader_meet = subheader_meet
         self.pair_tables = pair_tables
         self.residual_downsets = residual_downsets
@@ -129,7 +129,7 @@ class MeetIndex:
             return yi
         if yi == header:
             return xi
-        entry = self.subs[i]
+        sizes = self.sub_sizes[i]
         rx = self.rank[xi]
         ry = self.rank[yi]
         sub_of = self.sub_of
@@ -142,7 +142,7 @@ class MeetIndex:
                 stats.array_probes += 2
             if sub_of[xj] != j or sub_of[yj] != j:
                 continue
-            s = len(entry.subblocks[j])
+            s = sizes[j]
             z = self.pair_tables[i][j][sub_rank[xj] * s + sub_rank[yj]]
             if stats is not None:
                 stats.table_probes += 1
@@ -150,7 +150,7 @@ class MeetIndex:
                 candidates.append(z)
         if sub_of[xi] == -1 and sub_of[yi] == -1:
             for z in _bit_ids(self.residual_downsets[i][sub_rank[xi]],
-                              entry.residual):
+                              self.sub_residuals[i]):
                 if stats is not None:
                     stats.scanned_elements += 1
                 if self.order.test_order(z, yi, stats):
@@ -187,14 +187,14 @@ class MeetIndex:
             subheader_meet_cells=sum(len(row) for rows in self.subheader_meet
                                      for row in rows),
             pair_table_cells=sum(map(self.pair_table_cells_of_block,
-                                     range(len(self.subs)))),
+                                     range(len(self.pair_tables)))),
             residual_list_cells=sum(d.bit_count() for ds in self.residual_downsets
                                     for d in ds),
         )
         return own if self.dual is None else own.merged(self.dual._space_counts())
 
     def pair_table_cells_of_block(self, i: int) -> int:
-        return sum(len(s) ** 2 for s in self.subs[i].subblocks)
+        return sum(map(len, self.pair_tables[i]))
 
 
 def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
@@ -211,14 +211,14 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
         k = min(n, ceil_pow(n, c))
     bd = block_decompose(g, k)
     oi = build_order_index(g, bd)
-    position = bd.extension.position
     visits = oi.build_edge_visits
     rank = oi.rank
     blank = array(_typecode(n), [n])
     sub_rank = [0] * n
     sub_of = [-2] * (n + 1)
 
-    subs: list[SubblockEntry] = []
+    sub_sizes: list[list[int]] = []
+    sub_residuals: list[list[int]] = []
     subheader_meet: list[list[array]] = []
     pair_tables: list[list[array]] = []
     residual_downsets: list[list[int]] = []
@@ -226,9 +226,10 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     for i, blk in enumerate(bd.blocks):
         entry = subblock_decompose(g, bd, i)
         visits += entry.edge_visits
-        subs.append(entry)
+        sub_sizes.append([len(sub) for sub in entry.subblocks])
+        sub_residuals.append(entry.residual)
 
-        rows, v = _meet_rows(g, [rank[h] for h in entry.subheaders], position, blk)
+        rows, v = _meet_rows(g, [rank[h] for h in entry.subheaders], blk)
         visits += v
         subheader_meet.append(rows)
 
@@ -239,7 +240,7 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                 sub_of[x] = j
             # meets of every member pair, computed inside the subblock
             s = len(sub)
-            trows, v = _meet_rows(g, range(s), position, sub)
+            trows, v = _meet_rows(g, range(s), sub)
             visits += v
             table = blank * (s * s)
             for r, row in enumerate(trows):
@@ -254,7 +255,7 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
             sub_rank[x] = r
             sub_of[x] = -1
 
-    idx = MeetIndex(g, c, oi, subs, subheader_meet, pair_tables,
+    idx = MeetIndex(g, c, oi, sub_sizes, sub_residuals, subheader_meet, pair_tables,
                     residual_downsets, sub_rank, sub_of, visits)
     if with_dual:
         idx.dual = build_meet_index(flip(g), c, with_dual=False, k=k)

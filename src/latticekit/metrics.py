@@ -21,8 +21,9 @@ class QueryStats:
     ``order_tests`` counts order-test invocations (for the block-based
     engines, raw constant-time tests; for the degree-bounded join search,
     one unit per element-versus-pair comparison).  The probe counters
-    decompose the work: array cells read, dictionary memberships, table
-    cells read, and elements scanned from stored lists.
+    decompose the work: array cells read, bitset membership tests
+    (``dict_probes``, named for the sets they once were), table cells
+    read, and elements scanned from stored lists.
     """
 
     order_tests: int = 0

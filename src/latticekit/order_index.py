@@ -8,7 +8,7 @@ Two stores answer "is x <= y?" in O(1):
 * one ``int`` bitset per element holding its local downset (the part of
   its downset inside its own block), bit r standing for the member of
   rank r in that block (or in the residual); a node-indexed ``rank``
-  list gives each element's rank.
+  list gives each element's rank (its linear-extension order in there).
 
 Rows hold 2-byte ids while the null id n fits (n <= 65535), 4-byte ids
 beyond (:func:`_typecode`).  Every row owns its buffer, so a
@@ -42,7 +42,7 @@ from .decomposition import (
     block_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
-from .trg import TRG, NodeIdError, StructureError
+from .trg import TRG, NodeIdError, StructureError, linear_extension
 
 
 class OrderIndex:
@@ -50,7 +50,6 @@ class OrderIndex:
 
     def __init__(self, g: TRG, bd: BlockDecomposition, header_meet, down,
                  rank: list[int], build_edge_visits: int):
-        self.g = g
         self.bd = bd
         self.n = g.n
         self.null = g.n  # sentinel id meaning "no meet" in the dense arrays
@@ -60,9 +59,9 @@ class OrderIndex:
         # local downsets of that block
         self.rank = rank
         self.build_edge_visits = build_edge_visits
-        # one slot past the end gives the null id the residual's block, so
-        # a null meet fails the same-block test without a test of its own
-        self._block_of = bd.block_of + [bd.m]
+        # slot n gives the null id the residual's block, so a null meet
+        # fails the same-block test without a test of its own
+        self._block_of = bd.block_of
         self._m = bd.m
 
     # -- queries ---------------------------------------------------------
@@ -134,7 +133,7 @@ def _typecode(n: int) -> str:
     return "H" if n <= 0xFFFF else "I"
 
 
-def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
+def _meet_rows(g: TRG, heads, universe: list[int] | None = None):
     """Meet of each head with every node, one row per head, by flooding.
 
     The head's downset is walked, then its members are taken in reverse
@@ -143,18 +142,20 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
     the head (bounds are unique in a partial lattice, and the unique maximal
     lower bound is the latest one in any linear extension).
 
-    With a ``universe`` (ascending ids, interval-closed) the floods run on
-    its induced subgraph, heads and row indexes being ranks in it.  A stored
-    meet is still the lattice meet: a common lower bound inside the universe
-    forces the meet inside.  Returns the rows, one typed array each (null is
-    ``g.n``), and the edge visits.
+    With a ``universe`` (interval-closed, in linear-extension order) the
+    floods run on its induced subgraph, heads and row indexes being ranks
+    in it.  A stored meet is still the lattice meet: a common lower bound
+    inside the universe forces the meet inside.  Without one, the whole
+    graph's extension is computed here.  Returns the rows, one typed array
+    each (null is ``g.n``), and the edge visits.
     """
     if universe is None:
         in_nbrs, out_nbrs = g.in_neighbours, g.out_neighbours
+        key = linear_extension(g).position.__getitem__
     else:
         in_nbrs = _induced(g.in_neighbours, universe)
         out_nbrs = _induced(g.out_neighbours, universe)
-        position = [position[x] for x in universe]
+        key = None
     null = g.n
     size = len(in_nbrs)
     blank = array(_typecode(null), [null]) * size
@@ -166,7 +167,7 @@ def _meet_rows(g: TRG, heads, position, universe: list[int] | None = None):
         token += 2
         members, v = _walk(in_nbrs, h, mark, token - 1)
         visits += v
-        members.sort(key=position.__getitem__)
+        members.sort(key=key)
         row = blank[:]
         # written through a memoryview, which converts ints faster than
         # the array's own item assignment; released before the row is kept
@@ -195,7 +196,7 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
     """Build the order-testing structure (default block size ceil(sqrt n))."""
     if bd is None:
         bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
-    header_meet, visits = _meet_rows(g, bd.headers, bd.extension.position)
+    header_meet, visits = _meet_rows(g, bd.headers)
     visits += bd.edge_visits
     down = [0] * g.n
     rank = [0] * g.n

@@ -37,7 +37,7 @@ def test_boolean2_hand_simulated(diamond):
     assert bd.blocks == [[0, 1], [2, 3]]
     assert bd.headers == [1, 3]
     assert bd.residual == []
-    assert bd.block_of == [0, 0, 1, 1]
+    assert bd.block_of == [0, 0, 1, 1, 2]  # slot n: the null id, residual's
 
 
 def test_k_equals_one_makes_singletons(divisor12):
@@ -166,6 +166,48 @@ def test_cover_decompose_boolean_second_block(diamond):
     assert chunks == [(2, [2])]
 
 
+def in_extension_order(members, pos) -> bool:
+    ranks = [pos[x] for x in members]
+    return ranks == sorted(ranks)
+
+
+def test_member_lists_in_extension_order_header_last(family_zoo):
+    for _, g0 in family_zoo:
+        for g in (g0, lk.flip(g0)):
+            pos = lk.linear_extension(g).position
+            bd = lk.block_decompose(g, ceil_sqrt(g.n))
+            assert in_extension_order(bd.residual, pos)
+            for i, blk in enumerate(bd.blocks):
+                assert in_extension_order(blk, pos) and blk[-1] == bd.headers[i]
+                entry = lk.subblock_decompose(g, bd, i)
+                assert in_extension_order(entry.residual, pos)
+                for sub, sh in zip(entry.subblocks, entry.subheaders):
+                    assert in_extension_order(sub, pos) and sub[-1] == sh
+                for c, members in lk.cover_decompose(g, blk, bd.headers[i]):
+                    assert in_extension_order(members, pos) and members[-1] == c
+
+
+def test_cover_decompose_keeps_the_input_order(family_zoo):
+    for _, g0 in family_zoo:
+        for g in (g0, lk.flip(g0)):
+            pos = lk.linear_extension(g).position
+            bd = lk.block_decompose(g, ceil_sqrt(g.n))
+            for blk, header in zip(bd.blocks, bd.headers):
+                by_id = lk.cover_decompose(g, sorted(blk), header)
+                by_ext = lk.cover_decompose(g, blk, header)
+                assert ([(c, set(m)) for c, m in by_id]
+                        == [(c, set(m)) for c, m in by_ext])
+                for (_, a), (_, b) in zip(by_id, by_ext):
+                    assert a == sorted(a) and in_extension_order(b, pos)
+
+
+def test_subblock_decompose_rejects_a_block_not_ending_with_its_header(diamond):
+    bd = lk.block_decompose(diamond, 2)
+    bd.blocks[0].reverse()  # [1, 0]: header 1 first
+    with pytest.raises(lk.StructureError, match="does not end with its header"):
+        lk.subblock_decompose(diamond, bd, 0)
+
+
 def test_cover_partitions(family_zoo):
     for _, g in family_zoo:
         bd = lk.block_decompose(g, ceil_sqrt(g.n))
@@ -282,5 +324,4 @@ def test_tree_leaves_in_extension_order(family_zoo):
                 leaves = tree_leaves(idx.tree.root)
                 assert sum(len(e) for _, _, e in leaves) == idx.tree.leaf_cells
                 for _, _, elements in leaves:
-                    ranks = [pos[x] for x in elements]
-                    assert ranks == sorted(ranks)
+                    assert in_extension_order(elements, pos)

@@ -31,9 +31,9 @@ def walk_extract(in_nbrs, visit_order, k):
                     stack.append(w)
         if len(seen) >= k:
             gone |= seen
-            blocks.append(sorted(seen))
+            blocks.append([w for w in visit_order if w in seen])
             headers.append(x)
-    residual = [x for x in range(len(in_nbrs)) if x not in gone]
+    residual = [x for x in visit_order if x not in gone]
     return blocks, headers, residual, 0
 
 
@@ -90,7 +90,7 @@ def test_extracted_ids_are_the_graphs_own_objects(spec):
         assert g.n > 256
         for k in (ceil_sqrt(g.n), -(-g.n // 3)):
             bd = lk.block_decompose(g, k)
-            held = held_ids(g.in_neighbours, g.out_neighbours, [bd.extension.order])
+            held = held_ids(g.in_neighbours, g.out_neighbours)
             assert {id(x) for blk in bd.blocks for x in blk} <= held
             assert {id(x) for x in bd.residual} <= held
         tree = lk.build_decomposition_tree(g)

@@ -144,7 +144,8 @@ def test_meet_in_block_uses_pair_tables():
     c = oracle_tables(g)
     stats = lk.QueryStats()
     hits = 0
-    for i, entry in enumerate(idx.subs):
+    for i in range(idx.bd.m):
+        entry = lk.subblock_decompose(g, idx.bd, i)
         for j, sub in enumerate(entry.subblocks):
             for x in sub:
                 for y in sub:
@@ -161,8 +162,8 @@ def test_subheader_rows_match_restricted_oracle(family_zoo):
     for spec, g in family_zoo:
         idx = lk.build_meet_index(g)
         c = oracle_tables(g)
-        for i, entry in enumerate(idx.subs):
-            blk = idx.bd.blocks[i]
+        for i, blk in enumerate(idx.bd.blocks):
+            entry = lk.subblock_decompose(g, idx.bd, i)
             members = set(blk)
             for j, sh in enumerate(entry.subheaders):
                 row = idx.subheader_meet[i][j]
@@ -247,7 +248,8 @@ def test_residual_downsets_and_pair_tables_match_references(family_zoo):
     for spec, g in family_zoo:
         idx = lk.build_meet_index(g)
         c = oracle_tables(g)
-        for i, entry in enumerate(idx.subs):
+        for i in range(idx.bd.m):
+            entry = lk.subblock_decompose(g, idx.bd, i)
             rset = set(entry.residual)
             for r, x in enumerate(entry.residual):
                 assert idx.sub_rank[x] == r
@@ -274,9 +276,9 @@ def test_query_ids_out_of_range_raise(x, y):
             query(x, y)
 
 
-def held_bytes(root, exclude) -> int:
-    """``sys.getsizeof`` summed over every object reachable from ``root`` and
-    not from ``exclude``, following containers and package objects."""
+def reachable(root, exclude=None) -> list:
+    """Every object reachable from ``root`` and not from ``exclude``,
+    following containers and package objects."""
     def referents(o):
         if isinstance(o, (list, tuple, set, frozenset)):
             return o
@@ -287,18 +289,32 @@ def held_bytes(root, exclude) -> int:
         return ()
 
     seen: set[int] = set()
-    total = 0
-    for roots, counted in (([exclude], False), ([root], True)):
-        stack = list(roots)
+    out = []
+    for start, kept in ((exclude, False), (root, True)):
+        stack = [start]
         while stack:
             o = stack.pop()
             if id(o) in seen:
                 continue
             seen.add(id(o))
-            if counted:
-                total += sys.getsizeof(o)
+            if kept:
+                out.append(o)
             stack.extend(referents(o))
-    return total
+    return out
+
+
+def held_bytes(root, exclude) -> int:
+    """``sys.getsizeof`` summed over what :func:`reachable` finds."""
+    return sum(map(sys.getsizeof, reachable(root, exclude)))
+
+
+@pytest.mark.parametrize("build", [lk.build_meet_index, lk.build_simple_join_index,
+                                   lk.build_recursive_join_index],
+                         ids=["meet", "simple", "recursive"])
+def test_no_index_holds_a_linear_extension(build):
+    # member lists are kept in extension order, so no index stores one
+    idx = build(lk.generate(lk.FamilySpec("random_distributive", 200, seed=12)))
+    assert not [o for o in reachable(idx) if isinstance(o, lk.LinearExtension)]
 
 
 def walked_and_traced(build, g) -> tuple[int, int]:
