@@ -36,11 +36,12 @@ and any path from x to a live node below it is live (an extracted node on
 the path would put the end node in E too).  So a node's live downset is
 itself plus the union of its children's, minus E: one bitset per thin
 node, OR-ed once along each in-edge, sizes every live downset
-(:func:`_extract_blocks`).
+(:func:`_extract_blocks`).  One such pass with nothing removed gives every
+downset inside a block, subblock or residual (:func:`_downsets_within`).
 
-Every downward walk of the builds is :func:`_walk`; work inside a block,
-subblock or chunk runs on its induced subgraph (:func:`_induced`), so no
-walk tests membership.  Structural invariants raise
+Work inside a block, subblock or chunk runs on its induced subgraph
+(:func:`_induced`); the one downward walk left splits a block into
+chunks.  Structural invariants raise
 :class:`~latticekit.trg.StructureError`, so they hold under ``python -O``.
 """
 
@@ -53,27 +54,6 @@ from .metrics import ceil_log, ceil_sqrt
 from .trg import TRG, StructureError, downset, linear_extension, with_top
 
 
-def _walk(adj, x: int, mark: list[int], token: int) -> tuple[list[int], int]:
-    """Nodes reachable from x along ``adj`` (x included) through nodes marked
-    below ``token``, each marked ``token`` when found.  Returns them in
-    discovery order, with the edge visits (adjacency length per node popped).
-    A mark above every later token closes a node for good.
-    """
-    mark[x] = token
-    found = [x]
-    stack = [x]
-    visits = 0
-    while stack:
-        nb = adj[stack.pop()]
-        visits += len(nb)
-        for w in nb:
-            if mark[w] < token:
-                mark[w] = token
-                found.append(w)
-                stack.append(w)
-    return found, visits
-
-
 def _induced(adj, universe: list[int]) -> list[list[int]]:
     """``adj`` restricted to the nodes of ``universe``, each renumbered to its
     rank in that list.  Neighbour lists keep the order of ``adj``'s."""
@@ -84,18 +64,18 @@ def _induced(adj, universe: list[int]) -> list[list[int]]:
 def _downsets_within(in_nbrs, universe: list[int]) -> tuple[list[int], int]:
     """The downset inside ``universe`` of each of its members, in member
     order, as an ``int`` bitset over ranks in ``universe`` (bit r stands for
-    ``universe[r]``), plus the edge visits of the walks."""
+    ``universe[r]``), plus the edge visits: one pass in member order,
+    ``down[r] = 1 << r | OR(down[c])`` over r's in-neighbours inside the
+    universe, each visited once.  ``universe`` must be in linear-extension
+    order, so every in-neighbour comes before the node it is under."""
     local = _induced(in_nbrs, universe)
-    mark = [0] * len(universe)
-    downs = []
-    visits = 0
-    bit = [1 << r for r in range(len(universe))].__getitem__
-    for r in range(len(universe)):
-        found, v = _walk(local, r, mark, r + 1)
-        visits += v
-        # distinct powers of two: their sum is their union
-        downs.append(sum(map(bit, found)))
-    return downs, visits
+    downs: list[int] = []
+    for r, nb in enumerate(local):
+        s = 1 << r
+        for c in nb:
+            s |= downs[c]
+        downs.append(s)
+    return downs, sum(map(len, local))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -287,21 +267,27 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
     blocks and chunks, so a chunk ends with its header).
 
     ``members`` must be interval-closed with top ``header`` (true for blocks
-    and chunks), which makes the restricted walk compute exactly the stated
-    set difference.
+    and chunks), which makes a downward walk through unclaimed nodes
+    compute exactly the stated set difference.
     """
     h = members.index(header)  # ValueError when the header is no member
     in_nbrs = _induced(g.in_neighbours, members)
-    mark = [0] * len(members)
-    mark[h] = 1  # the header and every claimed node stay closed
+    claimed = [False] * len(members)
+    claimed[h] = True  # the header and every claimed node stay closed
     chunks: list[tuple[int, list[int]]] = []
     for c in in_nbrs[h]:
-        if mark[c]:
+        if claimed[c]:
             raise StructureError("cover children must be pairwise incomparable")
-        chunk, _ = _walk(in_nbrs, c, mark, 1)
+        claimed[c] = True
+        chunk = [c]
+        for y in chunk:  # grows while read: a breadth-first walk
+            for w in in_nbrs[y]:
+                if not claimed[w]:
+                    claimed[w] = True
+                    chunk.append(w)
         chunk.sort()
         chunks.append((members[c], [members[w] for w in chunk]))
-    if not all(mark):
+    if not all(claimed):
         raise StructureError("cover decomposition failed to partition the block")
     return chunks
 

@@ -24,10 +24,11 @@ the same shape one level down, using the pair tables for same-subblock
 hits.
 
 Subheader rows and pair tables are the order index's meet-row flood run
-on the induced subgraph of a block or subblock, residual downsets the
-shared downward walk on the residual subblock's.  Blocks and subblocks
-partition the nodes, so node-indexed arrays give each element's rank in
-its block (the order index's ``rank``), its subblock, and its rank there.
+on the induced subgraph of a block or subblock, from the subheaders' local
+downsets and a subblock's downset pass, the pass that also gives residual
+downsets.  Blocks and subblocks partition the nodes, so node-indexed
+arrays give each element's rank in its block (the order index's
+``rank``), its subblock, and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -46,6 +47,7 @@ from dataclasses import replace
 from .decomposition import (
     _bit_ids,
     _downsets_within,
+    _induced,
     block_decompose,
     subblock_decompose,
 )
@@ -212,7 +214,6 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     bd = block_decompose(g, k)
     oi = build_order_index(g, bd)
     visits = oi.build_edge_visits
-    rank = oi.rank
     blank = array(_typecode(n), [n])
     sub_rank = [0] * n
     sub_of = [-2] * (n + 1)
@@ -229,8 +230,10 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
         sub_sizes.append([len(sub) for sub in entry.subblocks])
         sub_residuals.append(entry.residual)
 
-        rows, v = _meet_rows(g, [rank[h] for h in entry.subheaders], blk)
-        visits += v
+        rows: list[array] = []
+        visits += _meet_rows(_induced(g.out_neighbours, blk),
+                             [oi.down[h] for h in entry.subheaders],
+                             range(len(blk)), blk, n, rows)
         subheader_meet.append(rows)
 
         tables = []
@@ -240,8 +243,10 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                 sub_of[x] = j
             # meets of every member pair, computed inside the subblock
             s = len(sub)
-            trows, v = _meet_rows(g, range(s), sub)
-            visits += v
+            downs, v = _downsets_within(g.in_neighbours, sub)
+            trows: list[array] = []
+            visits += v + _meet_rows(_induced(g.out_neighbours, sub), downs,
+                                     range(s), sub, n, trows)
             table = blank * (s * s)
             for r, row in enumerate(trows):
                 table[r * s:(r + 1) * s] = row

@@ -1,7 +1,7 @@
 """Space accounting, per-query probe counters, and log-log scaling fits.
 
-Space is measured in stored entries (id-sized cells), never bytes: every
-array slot, dictionary member, table cell, and list link counts as one.
+Space is measured in stored entries, not bytes: every typed-array cell,
+set bit of a downset bitset, tree node and leaf cell counts as one.
 Wall-clock time is reported by the benchmark driver but is never part of
 any pass/fail decision; probe counts are the portable time surrogate.
 """
@@ -23,7 +23,7 @@ class QueryStats:
     one unit per element-versus-pair comparison).  The probe counters
     decompose the work: array cells read, bitset membership tests
     (``dict_probes``, named for the sets they once were), table cells
-    read, and elements scanned from stored lists.
+    read, and elements scanned from residual downsets and leaves.
     """
 
     order_tests: int = 0
@@ -62,11 +62,11 @@ class SpaceReport:
 
     n: int
     c: float | None = None
-    header_meet_cells: int = 0      # one array of length n per block header
-    down_entries: int = 0           # local-downset set members
-    subheader_meet_cells: int = 0   # per-subheader arrays over their block
-    pair_table_cells: int = 0       # per-subblock meet tables
-    residual_list_cells: int = 0    # residual-subblock downset lists
+    header_meet_cells: int = 0      # one typed row of n cells per block header
+    down_entries: int = 0           # set bits of the local-downset bitsets
+    subheader_meet_cells: int = 0   # per-subheader typed rows over their block
+    pair_table_cells: int = 0       # per-subblock typed meet tables
+    residual_list_cells: int = 0    # set bits of the residual-subblock downsets
     tree_nodes: int = 0
     leaf_cells: int = 0
 

@@ -14,9 +14,10 @@ Rows hold 2-byte ids while the null id n fits (n <= 65535), 4-byte ids
 beyond (:func:`_typecode`).  Every row owns its buffer, so a
 ``sys.getsizeof`` walk sees the bytes the index holds.
 
-The first store is filled by the meet-row flood (:func:`_meet_rows`, which
-also fills the meet engine's tables), the second by the shared downward
-walk run on each block's induced subgraph.
+Local downsets come from one OR pass over each block and the residual
+(:func:`~latticekit.decomposition._downsets_within`), header rows from the
+meet-row flood (:func:`_meet_rows`, which also fills the meet engine's
+tables), started from header downsets put together without a walk.
 
 The query splits into three cases.  If x sits in a principal block, map y
 to its representative in that block and test x's bit in the
@@ -33,16 +34,16 @@ counting never contends across threads.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 
 from .decomposition import (
     BlockDecomposition,
+    _bit_ids,
     _downsets_within,
-    _induced,
-    _walk,
     block_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
-from .trg import TRG, NodeIdError, StructureError, linear_extension
+from .trg import TRG, NodeIdError, StructureError
 
 
 class OrderIndex:
@@ -98,8 +99,6 @@ class OrderIndex:
             stats.note_order_test(2)
         return False
 
-    leq = test_order
-
     def meet_with_header(self, i: int, x: int,
                          stats: QueryStats | None = None) -> int | None:
         """Meet of x with the header of principal block i: one array read.
@@ -133,50 +132,34 @@ def _typecode(n: int) -> str:
     return "H" if n <= 0xFFFF else "I"
 
 
-def _meet_rows(g: TRG, heads, universe: list[int] | None = None):
-    """Meet of each head with every node, one row per head, by flooding.
+def _meet_rows(out_nbrs, downs, members, ids, null: int, rows: list) -> int:
+    """Append to ``rows`` one typed row per head, the head's meet with every
+    slot of ``out_nbrs``, by flooding; return the edge visits.  A head's
+    downset is an ``int`` bitset, bit p standing for slot ``members[p]``
+    (``members`` in linear-extension order); ``downs`` is read a head at a
+    time, after the rows before it are appended, so it may read them.
 
-    The head's downset is walked, then its members are taken in reverse
-    linear-extension order, each flooding the part of its upset no later
-    member has reached: the last member that reaches z is the meet of z and
-    the head (bounds are unique in a partial lattice, and the unique maximal
-    lower bound is the latest one in any linear extension).
-
-    With a ``universe`` (interval-closed, in linear-extension order) the
-    floods run on its induced subgraph, heads and row indexes being ranks
-    in it.  A stored meet is still the lattice meet: a common lower bound
-    inside the universe forces the meet inside.  Without one, the whole
-    graph's extension is computed here.  Returns the rows, one typed array
-    each (null is ``g.n``), and the edge visits.
+    Members are taken from the highest bit down, each flooding the part of
+    its upset no later member has reached: the last member that reaches z
+    is the meet of z and the head (bounds are unique in a partial lattice,
+    and the unique maximal lower bound is the latest one in any linear
+    extension).  Slot y stores ``ids[y]``, a slot nothing reaches the null
+    id.  On an interval-closed universe's induced subgraph the stored meet
+    is the lattice meet: a common lower bound inside forces the meet inside.
     """
-    if universe is None:
-        in_nbrs, out_nbrs = g.in_neighbours, g.out_neighbours
-        key = linear_extension(g).position.__getitem__
-    else:
-        in_nbrs = _induced(g.in_neighbours, universe)
-        out_nbrs = _induced(g.out_neighbours, universe)
-        key = None
-    null = g.n
-    size = len(in_nbrs)
-    blank = array(_typecode(null), [null]) * size
-    mark = [0] * size
-    token = 0
+    blank = array(_typecode(null), [null]) * len(out_nbrs)
+    mark = [0] * len(out_nbrs)
     visits = 0
-    rows = []
-    for h in heads:
-        token += 2
-        members, v = _walk(in_nbrs, h, mark, token - 1)
-        visits += v
-        members.sort(key=key)
+    for token, down in enumerate(downs, 1):
         row = blank[:]
         # written through a memoryview, which converts ints faster than
         # the array's own item assignment; released before the row is kept
         view = memoryview(row)
-        for y in reversed(members):
+        for y in reversed(_bit_ids(down, members)):
             if mark[y] == token:
                 continue
             mark[y] = token
-            meet = view[y] = y if universe is None else universe[y]
+            meet = view[y] = ids[y]
             stack = [y]
             while stack:
                 nb = out_nbrs[stack.pop()]
@@ -188,16 +171,18 @@ def _meet_rows(g: TRG, heads, universe: list[int] | None = None):
                         stack.append(w)
         view.release()
         rows.append(row)
-    return rows, visits
+    return visits
 
 
 def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
                       k: int | None = None) -> OrderIndex:
-    """Build the order-testing structure (default block size ceil(sqrt n))."""
+    """Build the order-testing structure (default block size ceil(sqrt n));
+    a ``bd`` of another graph raises ``ValueError``."""
     if bd is None:
         bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
-    header_meet, visits = _meet_rows(g, bd.headers)
-    visits += bd.edge_visits
+    elif len(bd.block_of) != g.n + 1:
+        raise ValueError(f"block decomposition is not of this {g.n}-node graph")
+    visits = bd.edge_visits
     down = [0] * g.n
     rank = [0] * g.n
     for universe in bd.blocks + [bd.residual]:
@@ -207,7 +192,28 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
             down[x] = local
             rank[x] = r
 
-    idx = OrderIndex(g, bd, header_meet, down, rank, visits)
+    # Blocks in extraction order, each in rank order, list a linear extension
+    # of their union, and Down(h_i) lies in blocks 0..i.  Its part in an
+    # earlier block j is empty or the local downset of w = meet(h_j, h_i):
+    # every z of B_j under h_i is under w, and w lies in no block before j,
+    # since extracted sets are down-closed and z lies in none.
+    members = [x for blk in bd.blocks for x in blk]
+    offset = [0, *accumulate(map(len, bd.blocks))]
+    block_of = bd.block_of
+    header_meet: list[array] = []
+
+    def head_downs():
+        for i, h in enumerate(bd.headers):
+            s = down[h] << offset[i]
+            for j, row in enumerate(header_meet):  # rows 0..i-1
+                w = row[h]
+                if block_of[w] == j:
+                    s |= down[w] << offset[j]
+            yield s
+
+    visits += _meet_rows(g.out_neighbours, head_downs(), members, range(g.n),
+                         g.n, header_meet)
+
     headers = set(bd.headers)
     for x in range(g.n):
         # non-headers must be thin inside their own block
@@ -215,4 +221,4 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
         if x not in headers and size >= bd.k:
             raise StructureError(
                 f"node {x} has local downset of size {size} >= k={bd.k}")
-    return idx
+    return OrderIndex(g, bd, header_meet, down, rank, visits)

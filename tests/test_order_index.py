@@ -5,6 +5,7 @@ import pytest
 
 import latticekit as lk
 from conftest import bit_members
+from latticekit.metrics import ceil_sqrt
 
 
 def test_diamond_header_rows(diamond):
@@ -29,16 +30,43 @@ def test_row_typecode_follows_n():
     assert all(a.itemsize == 2 for a in rows + tables)
 
 
-def test_header_rows_match_oracle(family_zoo):
-    for spec, g in family_zoo:
-        idx = lk.build_order_index(g)
-        c = lk.transitive_closure(g)
-        null = idx.null
-        for i, h in enumerate(idx.bd.headers):
-            for x in range(g.n):
-                expected = lk.oracle_meet(c, h, x)
-                got = idx.header_meet[i][x]
-                assert (None if got == null else got) == expected, (spec, h, x)
+def test_header_rows_match_oracle(family_zoo, small_lattices):
+    # k = 1 and 2 give many blocks, so most header downsets are put together
+    # from the local downsets of earlier blocks
+    graphs = list(family_zoo) + [(None, g) for g in small_lattices]
+    for spec, g0 in graphs:
+        for g in (g0, lk.flip(g0)):
+            c = lk.transitive_closure(g)
+            for k in {k for k in (1, 2, ceil_sqrt(g.n)) if k <= g.n}:
+                idx = lk.build_order_index(g, k=k)
+                null = idx.null
+                for i, h in enumerate(idx.bd.headers):
+                    for x in range(g.n):
+                        expected = lk.oracle_meet(c, h, x)
+                        got = idx.header_meet[i][x]
+                        assert (None if got == null else got) == expected, (spec, k, h, x)
+
+
+def test_decomposition_of_another_graph_is_rejected(diamond, chain9):
+    for g, other in ((diamond, chain9), (chain9, diamond)):
+        with pytest.raises(ValueError, match="block decomposition"):
+            lk.build_order_index(g, lk.block_decompose(other, 2))
+
+
+def test_one_linear_extension_per_build(monkeypatch, family_zoo):
+    from latticekit import decomposition, order_index
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return lk.linear_extension(g)
+
+    for module in (decomposition, order_index):
+        monkeypatch.setattr(module, "linear_extension", counted, raising=False)
+    for _, g in family_zoo:
+        calls.clear()
+        lk.build_order_index(g)
+        assert calls == [g]
 
 
 def test_down_dicts_are_local_downsets(family_zoo):
