@@ -22,8 +22,13 @@ differ in the tree:
   by scanning one leaf chunk of size below 2d: order d * log(n)/log(d)
   comparisons.
 
+Both take their order index (block size ceil(sqrt n)) from
+:func:`~latticekit.order_index.shared_order_index`, so on a topped lattice
+the two join indexes and a meet index at c = 1/2 share one.
+
 Both assume a top element and add a synthetic one when missing; a query
-whose answer is the synthetic top reports None instead.  Meets are served
+whose answer is the synthetic top reports None instead.  The topped graph
+is then new to each index, and so is its order index.  Meets are served
 by building either structure on the flipped graph (whose maximum degree
 may differ).
 
@@ -50,7 +55,7 @@ from .decomposition import (
     build_decomposition_tree,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
-from .order_index import OrderIndex, build_order_index
+from .order_index import OrderIndex, shared_order_index
 from .trg import TRG, NodeIdError, with_top
 
 
@@ -98,7 +103,7 @@ class SimpleJoinIndex(_TreeJoin):
         self.g = g2
         self.n_orig = g.n
         self.virtual_top = added
-        self.order = build_order_index(g2, k=ceil_sqrt(g2.n))
+        self.order = shared_order_index(g2, ceil_sqrt(g2.n))
         self.d = max_degree(g2).max_degree
         bd = self.order.bd
         # every chunk is a leaf; each lies in a thin node's local downset
@@ -120,7 +125,7 @@ class RecursiveJoinIndex(_TreeJoin):
         g2 = self.tree.graph
         self.g = g2
         self.n_orig = g.n
-        self.order = build_order_index(g2, k=ceil_sqrt(g2.n))
+        self.order = shared_order_index(g2, ceil_sqrt(g2.n))
         self.d = self.tree.d
 
 

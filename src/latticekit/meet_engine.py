@@ -33,6 +33,11 @@ arrays give each element's rank in its block (the order index's
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
 
+The order index comes from :func:`~latticekit.order_index.shared_order_index`:
+an index built on the same graph at the same block size shares it, as both
+join indexes of a topped lattice do at c = 1/2.  The dual, on a fresh
+flipped graph, always has its own.
+
 The block size is ceil(n**c) for a chosen exponent c in [1/2, 1]; larger c
 buys faster queries (order n**(1-c/2) work) for more space (order n**(1+c)
 entries).  At c = 1/2 both are the balanced n**(3/2)-space, n**(3/4)-time
@@ -48,11 +53,10 @@ from .decomposition import (
     _bit_ids,
     _downsets_within,
     _induced,
-    block_decompose,
     subblock_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_pow
-from .order_index import OrderIndex, _meet_rows, _typecode, build_order_index
+from .order_index import OrderIndex, _meet_rows, _typecode, shared_order_index
 from .trg import TRG, NodeIdError, flip
 
 
@@ -204,15 +208,17 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     """Build the meet/join structure with block size ceil(n**c).
 
     ``with_dual`` also builds the flipped copy that answers joins (roughly
-    doubling space and build time).
+    doubling space and build time).  The order index is shared with every
+    other index on g at block size k that is still alive, the join indexes
+    of a topped g at c = 1/2 among them; the dual builds its own.
     """
     if not 0.5 <= c <= 1.0:
         raise ValueError(f"tradeoff exponent c={c} outside [1/2, 1]")
     n = g.n
     if k is None:
         k = min(n, ceil_pow(n, c))
-    bd = block_decompose(g, k)
-    oi = build_order_index(g, bd)
+    oi = shared_order_index(g, k)
+    bd = oi.bd
     visits = oi.build_edge_visits
     blank = array(_typecode(n), [n])
     sub_rank = [0] * n

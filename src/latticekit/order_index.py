@@ -26,6 +26,11 @@ bit directly.  A residual x can never be below a principal y.  Every call
 costs at most five probes (array reads, one bit test, and a few block-id
 comparisons).
 
+The meet index and both join indexes of one graph take their order index
+from :func:`shared_order_index`, so at one block size they share one: the
+meet index at c = 1/2 and the join indexes of a topped lattice all use
+block size ceil(sqrt n).  :func:`build_order_index` always builds afresh.
+
 The structure is immutable after the build; concurrent queries are safe.
 Callers that want probe counts pass their own ``QueryStats`` recorder, so
 counting never contends across threads.
@@ -177,11 +182,15 @@ def _meet_rows(out_nbrs, downs, members, ids, null: int, rows: list) -> int:
 def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
                       k: int | None = None) -> OrderIndex:
     """Build the order-testing structure (default block size ceil(sqrt n));
-    a ``bd`` of another graph raises ``ValueError``."""
+    a ``bd`` of another graph, or a ``k`` other than ``bd.k``, raises
+    ``ValueError``."""
     if bd is None:
         bd = block_decompose(g, k if k is not None else ceil_sqrt(g.n))
     elif len(bd.block_of) != g.n + 1:
         raise ValueError(f"block decomposition is not of this {g.n}-node graph")
+    elif k is not None and k != bd.k:
+        raise ValueError(f"block size k={k} conflicts with the block decomposition's"
+                         f" k={bd.k}")
     visits = bd.edge_visits
     down = [0] * g.n
     rank = [0] * g.n
@@ -222,3 +231,14 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
             raise StructureError(
                 f"node {x} has local downset of size {size} >= k={bd.k}")
     return OrderIndex(g, bd, header_meet, down, rank, visits)
+
+
+def shared_order_index(g: TRG, k: int) -> OrderIndex:
+    """The order index of g at block size k: the one an index built on g
+    still holds, else a fresh :func:`build_order_index`, which g then
+    holds weakly until its last holder is gone.  Two threads building on g
+    at once may each build one; either answers the same."""
+    oi = g._order_indexes.get(k)
+    if oi is None:
+        oi = g._order_indexes[k] = build_order_index(g, k=k)
+    return oi

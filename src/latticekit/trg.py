@@ -21,7 +21,8 @@ at parse time rather than repaired, since they indicate generator bugs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from weakref import WeakValueDictionary
 
 
 class ParseError(ValueError):
@@ -50,13 +51,24 @@ class TRG:
     ``out_neighbours[u]`` lists the nodes covering u (upward edges) and
     ``in_neighbours[v]`` the nodes v covers, both sorted ascending.  TRGs
     are immutable after construction; no method mutates one in place, so
-    concurrent readers need no synchronisation.
+    concurrent readers need no synchronisation.  A TRG is read-only once
+    an index is built on it: :func:`flip` shares its lists, and the
+    indexes built on it share its order indexes.
+
+    It holds those order indexes weakly, one per block size, so the meet
+    index and both join indexes built on one graph at one block size
+    share one (see :func:`~latticekit.order_index.shared_order_index`).
+    An order index lives as long as some index holding it does; the
+    graph alone keeps none alive, and the field takes no part in
+    construction, equality or repr.
     """
 
     n: int
     out_neighbours: list[list[int]]
     in_neighbours: list[list[int]]
     edge_count: int
+    _order_indexes: WeakValueDictionary = field(
+        default_factory=WeakValueDictionary, init=False, repr=False, compare=False)
 
     def edges(self):
         """Yield edges (u, v) in ascending (u, v) order."""

@@ -2,7 +2,11 @@
 ``meet_in_block`` on the instance at call time, so a wrapper installed on
 an instance attribute sees every call the package makes through it.
 Profilers and tracers rely on this; binding these methods at build time
-would silently bypass them."""
+would silently bypass them.
+
+Indexes built on one graph at one block size share one order index, so a
+hook on a shared ``order.test_order`` sees the calls of every index that
+shares it, not just those of the index it was installed through."""
 
 import random
 
@@ -51,3 +55,16 @@ def test_recursive_join_calls_go_through_order_hook():
             assert idx.join(x, y, stats) == lk.oracle_join(c, x, y)
         # each counted comparison makes one or two order tests
         assert 0 < stats.order_tests <= counts["order"] <= 2 * stats.order_tests
+
+
+def test_hook_on_a_shared_order_index_counts_every_holder():
+    g = lk.generate(lk.FamilySpec("random_distributive", 200, seed=12))
+    c = lk.transitive_closure(g)
+    idx = lk.build_meet_index(g)
+    sj = lk.build_simple_join_index(g)
+    counts = {}
+    idx.order.test_order = counting(idx.order.test_order, counts, "order")
+    stats = lk.QueryStats()
+    for x, y in pairs(g.n):
+        assert sj.join(x, y, stats) == lk.oracle_join(c, x, y)
+    assert 0 < stats.order_tests <= counts["order"] <= 2 * stats.order_tests

@@ -308,6 +308,17 @@ def held_bytes(root, exclude) -> int:
     return sum(map(sys.getsizeof, reachable(root, exclude)))
 
 
+def test_graph_holds_its_order_indexes_weakly(family_zoo):
+    # a strong reference would keep order indexes alive after their holders,
+    # and a walk that excludes the graph would not count them
+    for spec, g in family_zoo:
+        idx = lk.build_meet_index(g)
+        joins = [lk.build_simple_join_index(g), lk.build_recursive_join_index(g)]
+        assert not [o for o in reachable(g) if isinstance(o, lk.OrderIndex)], spec
+        for s in [idx] + joins:
+            assert any(o is s.order for o in reachable(s, g)), spec
+
+
 @pytest.mark.parametrize("build", [lk.build_meet_index, lk.build_simple_join_index,
                                    lk.build_recursive_join_index],
                          ids=["meet", "simple", "recursive"])

@@ -1,3 +1,4 @@
+import gc
 import random
 from array import array
 
@@ -48,9 +49,11 @@ def test_header_rows_match_oracle(family_zoo, small_lattices):
 
 
 def test_decomposition_of_another_graph_is_rejected(diamond, chain9):
-    for g, other in ((diamond, chain9), (chain9, diamond)):
+    # a decomposition of another graph, or one at another block size than k
+    for g, other, k in ((diamond, chain9, None), (chain9, diamond, None),
+                        (diamond, diamond, 3)):
         with pytest.raises(ValueError, match="block decomposition"):
-            lk.build_order_index(g, lk.block_decompose(other, 2))
+            lk.build_order_index(g, lk.block_decompose(other, 2), k)
 
 
 def test_one_linear_extension_per_build(monkeypatch, family_zoo):
@@ -67,6 +70,36 @@ def test_one_linear_extension_per_build(monkeypatch, family_zoo):
         calls.clear()
         lk.build_order_index(g)
         assert calls == [g]
+
+
+def test_indexes_on_one_graph_share_one_order_index(monkeypatch, family_zoo):
+    from latticekit import decomposition, order_index
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return lk.linear_extension(g)
+
+    for module in (decomposition, order_index):
+        monkeypatch.setattr(module, "linear_extension", counted, raising=False)
+    for spec, g in family_zoo:
+        if lk.with_top(g)[2]:
+            continue
+        meet = lk.build_meet_index(g)
+        shared = meet.order
+        assert lk.build_simple_join_index(g).order is shared, spec
+        assert lk.build_recursive_join_index(g).order is shared, spec
+        own = [lk.build_meet_index(g, 0.75, with_dual=False).order, meet.dual.order,
+               lk.build_meet_index(lk.flip(g), with_dual=False).order,
+               lk.build_order_index(g), lk.build_order_index(g, shared.bd)]
+        assert len({id(o) for o in own + [shared]}) == len(own) + 1, spec
+        # held only weakly: once its holders are gone, the next build
+        # computes its own order index
+        del meet, shared, own
+        gc.collect()
+        calls.clear()
+        lk.build_simple_join_index(g)
+        assert calls == [g], spec
 
 
 def test_down_dicts_are_local_downsets(family_zoo):
