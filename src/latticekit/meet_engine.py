@@ -23,12 +23,12 @@ empty set means the meet does not exist.  The in-block subroutine repeats
 the same shape one level down, using the pair tables for same-subblock
 hits.
 
-Subheader rows and pair tables are the order index's meet-row flood run
-on the induced subgraph of a block or subblock, from the subheaders' local
-downsets and a subblock's downset pass, the pass that also gives residual
-downsets.  Blocks and subblocks partition the nodes, so node-indexed
-arrays give each element's rank in its block (the order index's
-``rank``), its subblock, and its rank there.
+Subheader rows and pair tables come from a meet-row flood
+(:func:`_meet_rows`) on the induced subgraph of a block or subblock, from
+the subheaders' local downsets and a subblock's downset pass, the pass
+that also gives residual downsets.  Blocks and subblocks partition the
+nodes, so node-indexed arrays give each element's rank in its block (the
+order index's ``rank``), its subblock, and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -56,7 +56,7 @@ from .decomposition import (
     subblock_decompose,
 )
 from .metrics import QueryStats, SpaceReport, ceil_pow
-from .order_index import OrderIndex, _meet_rows, _typecode, shared_order_index
+from .order_index import OrderIndex, _typecode, shared_order_index
 from .trg import TRG, NodeIdError, flip
 
 
@@ -203,6 +203,49 @@ class MeetIndex:
         return sum(map(len, self.pair_tables[i]))
 
 
+def _meet_rows(out_nbrs, downs, ids, null: int) -> tuple[list[array], int]:
+    """One typed row per head, the head's meet with every slot of
+    ``out_nbrs``, by flooding, and the edge visits.  A head's downset is an
+    ``int`` bitset, bit y standing for slot y, and slots are numbered in
+    linear-extension order.
+
+    Members are taken from the highest bit down, each flooding the part of
+    its upset no later member has reached: the last member that reaches z
+    is the meet of z and the head (bounds are unique in a partial lattice,
+    and the unique maximal lower bound is the latest one in any linear
+    extension).  Slot y stores ``ids[y]``, a slot nothing reaches the null
+    id.  On an interval-closed universe's induced subgraph the stored meet
+    is the lattice meet: a common lower bound inside forces the meet inside.
+    """
+    slots = range(len(out_nbrs))
+    blank = array(_typecode(null), [null]) * len(out_nbrs)
+    mark = [0] * len(out_nbrs)
+    rows = []
+    visits = 0
+    for token, down in enumerate(downs, 1):
+        row = blank[:]
+        # written through a memoryview, which converts ints faster than
+        # the array's own item assignment; released before the row is kept
+        view = memoryview(row)
+        for y in reversed(_bit_ids(down, slots)):
+            if mark[y] == token:
+                continue
+            mark[y] = token
+            meet = view[y] = ids[y]
+            stack = [y]
+            while stack:
+                nb = out_nbrs[stack.pop()]
+                visits += len(nb)
+                for w in nb:
+                    if mark[w] < token:
+                        mark[w] = token
+                        view[w] = meet
+                        stack.append(w)
+        view.release()
+        rows.append(row)
+    return rows, visits
+
+
 def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                      k: int | None = None) -> MeetIndex:
     """Build the meet/join structure with block size ceil(n**c).
@@ -236,10 +279,9 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
         sub_sizes.append([len(sub) for sub in entry.subblocks])
         sub_residuals.append(entry.residual)
 
-        rows: list[array] = []
-        visits += _meet_rows(_induced(g.out_neighbours, blk),
-                             [oi.down[h] for h in entry.subheaders],
-                             range(len(blk)), blk, n, rows)
+        rows, v = _meet_rows(_induced(g.out_neighbours, blk),
+                             [oi.down[h] for h in entry.subheaders], blk, n)
+        visits += v
         subheader_meet.append(rows)
 
         tables = []
@@ -250,9 +292,8 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
             # meets of every member pair, computed inside the subblock
             s = len(sub)
             downs, v = _downsets_within(g.in_neighbours, sub)
-            trows: list[array] = []
-            visits += v + _meet_rows(_induced(g.out_neighbours, sub), downs,
-                                     range(s), sub, n, trows)
+            trows, w = _meet_rows(_induced(g.out_neighbours, sub), downs, sub, n)
+            visits += v + w
             table = blank * (s * s)
             for r, row in enumerate(trows):
                 table[r * s:(r + 1) * s] = row

@@ -15,9 +15,11 @@ beyond (:func:`_typecode`).  Every row owns its buffer, so a
 ``sys.getsizeof`` walk sees the bytes the index holds.
 
 Local downsets come from one OR pass over each block and the residual
-(:func:`~latticekit.decomposition._downsets_within`), header rows from the
-meet-row flood (:func:`_meet_rows`, which also fills the meet engine's
-tables), started from header downsets put together without a walk.
+(:func:`~latticekit.decomposition._downsets_within`), header rows from a
+dynamic program over the levels of the graph, batched across all heads in
+numpy (:func:`_header_rows`).  Row i holds, at z, the latest element of
+Down(h_i) ∩ Down(z) in block order, on any DAG; in a partial lattice that
+is the meet.
 
 The query splits into three cases.  If x sits in a principal block, map y
 to its representative in that block and test x's bit in the
@@ -39,14 +41,11 @@ counting never contends across threads.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import chain
 
-from .decomposition import (
-    BlockDecomposition,
-    _bit_ids,
-    _downsets_within,
-    block_decompose,
-)
+import numpy as np
+
+from .decomposition import BlockDecomposition, _downsets_within, block_decompose
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .trg import TRG, NodeIdError, StructureError
 
@@ -137,46 +136,95 @@ def _typecode(n: int) -> str:
     return "H" if n <= 0xFFFF else "I"
 
 
-def _meet_rows(out_nbrs, downs, members, ids, null: int, rows: list) -> int:
-    """Append to ``rows`` one typed row per head, the head's meet with every
-    slot of ``out_nbrs``, by flooding; return the edge visits.  A head's
-    downset is an ``int`` bitset, bit p standing for slot ``members[p]``
-    (``members`` in linear-extension order); ``downs`` is read a head at a
-    time, after the rows before it are appended, so it may read them.
+def _header_rows(g: TRG, bd: BlockDecomposition) -> tuple[list[array], int]:
+    """One typed row per block header h_i, holding at slot z the latest
+    element of Down(h_i) ∩ Down(z) in block order (blocks in extraction
+    order, then the residual), or the null id n when they share none; in a
+    partial lattice that is the meet of z and h_i, the unique maximal lower
+    bound being the latest one in any linear extension.  Also returns the
+    edge visits: each edge once in the reverse pass and once more in the
+    level passes of each group of 64 heads.
 
-    Members are taken from the highest bit down, each flooding the part of
-    its upset no later member has reached: the last member that reaches z
-    is the meet of z and the head (bounds are unique in a partial lattice,
-    and the unique maximal lower bound is the latest one in any linear
-    extension).  Slot y stores ``ids[y]``, a slot nothing reaches the null
-    id.  On an interval-closed universe's induced subgraph the stored meet
-    is the lattice meet: a common lower bound inside forces the meet inside.
+    A level-batched dynamic program over the heads, 64 at a time: the cell
+    of z is z for the heads above z, else the latest cell over the elements
+    z covers.  One reverse pass over the block order, a linear extension
+    (extracted sets are down-closed and every member list keeps extension
+    order), gives each node its heads above as an m-bit mask and its
+    depth, the longest chain above it.  Covered elements lie deeper, so
+    levels run from the deepest up.  A level's nodes are sorted by
+    in-degree, so the nodes with a t-th lower cover are a prefix, and each
+    t costs one gather and one ``np.maximum`` across all heads; once fewer
+    nodes are left than values of t, each takes the maximum of its other
+    covers in one call.  Cells hold block-order positions plus one, 0
+    standing for null, and map back to ids at the end.
     """
-    blank = array(_typecode(null), [null]) * len(out_nbrs)
-    mark = [0] * len(out_nbrs)
-    visits = 0
-    for token, down in enumerate(downs, 1):
-        row = blank[:]
-        # written through a memoryview, which converts ints faster than
-        # the array's own item assignment; released before the row is kept
-        view = memoryview(row)
-        for y in reversed(_bit_ids(down, members)):
-            if mark[y] == token:
-                continue
-            mark[y] = token
-            meet = view[y] = ids[y]
-            stack = [y]
-            while stack:
-                nb = out_nbrs[stack.pop()]
-                visits += len(nb)
-                for w in nb:
-                    if mark[w] < token:
-                        mark[w] = token
-                        view[w] = meet
-                        stack.append(w)
-        view.release()
-        rows.append(row)
-    return visits
+    n, m = g.n, bd.m
+    if not m:
+        return [], 0
+    out_nbrs, in_nbrs = g.out_neighbours, g.in_neighbours
+    order = [x for blk in bd.blocks for x in blk] + bd.residual
+    above = [0] * n
+    for i, h in enumerate(bd.headers):
+        above[h] = 1 << i
+    depth = [0] * n
+    for z in reversed(order):
+        s = above[z]
+        d = 0
+        for w in out_nbrs[z]:
+            s |= above[w]
+            e = depth[w]
+            if e >= d:
+                d = e + 1
+        above[z] = s
+        depth[z] = d
+
+    depths = np.array(depth)
+    degree = np.fromiter(map(len, in_nbrs), np.intp, n)
+    offset = np.zeros(n + 1, np.intp)
+    np.cumsum(degree, out=offset[1:])
+    covers = np.fromiter(chain.from_iterable(in_nbrs), np.intp, int(offset[-1]))
+    nodes = np.lexsort((-degree, -depths))  # deepest level first, by in-degree
+    start = offset[nodes]
+    degree = degree[nodes].tolist()
+    # the deepest level holds only minimal elements, whose cells are final
+    bounds = np.cumsum(np.bincount(depths)[::-1]).tolist()
+
+    tc = _typecode(n)
+    dtype = np.uint16 if tc == "H" else np.uint32
+    position = np.empty(n, dtype)
+    position[order] = np.arange(1, n + 1, dtype=dtype)
+    ids = np.array([n, *order], dtype)
+    blank = array(tc, [n]) * n
+    rows = []
+    # 64 heads at a time, which bounds the cells to 64 per node
+    for lo in range(0, m, 64):
+        words = np.array([s >> lo & 0xFFFF_FFFF_FFFF_FFFF for s in above], "<u8")
+        cells = np.unpackbits(words.view(np.uint8).reshape(n, 8), axis=1,
+                              count=min(64, m - lo), bitorder="little").astype(dtype)
+        cells *= position[:, None]
+        for a, b in zip(bounds, bounds[1:]):
+            level = nodes[a:b]
+            first = start[a:b]
+            best = cells[level]
+            top = degree[a]
+            p = b - a
+            for t in range(top):
+                while degree[a + p - 1] <= t:
+                    p -= 1
+                if p < top - t:
+                    for j in range(p):
+                        rest = covers[first[j] + t:first[j] + degree[a + j]]
+                        np.maximum(best[j], cells[rest].max(axis=0), out=best[j])
+                    break
+                np.maximum(best[:p], cells[covers[first[:p] + t]], out=best[:p])
+            cells[level] = best
+        for column in cells.T:
+            row = blank[:]
+            # a copy of blank keeps its exact allocation, where a row built
+            # from bytes is over-allocated
+            memoryview(row)[:] = ids[column]
+            rows.append(row)
+    return rows, len(covers) * (1 + (m + 63) // 64)
 
 
 def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
@@ -201,27 +249,8 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
             down[x] = local
             rank[x] = r
 
-    # Blocks in extraction order, each in rank order, list a linear extension
-    # of their union, and Down(h_i) lies in blocks 0..i.  Its part in an
-    # earlier block j is empty or the local downset of w = meet(h_j, h_i):
-    # every z of B_j under h_i is under w, and w lies in no block before j,
-    # since extracted sets are down-closed and z lies in none.
-    members = [x for blk in bd.blocks for x in blk]
-    offset = [0, *accumulate(map(len, bd.blocks))]
-    block_of = bd.block_of
-    header_meet: list[array] = []
-
-    def head_downs():
-        for i, h in enumerate(bd.headers):
-            s = down[h] << offset[i]
-            for j, row in enumerate(header_meet):  # rows 0..i-1
-                w = row[h]
-                if block_of[w] == j:
-                    s |= down[w] << offset[j]
-            yield s
-
-    visits += _meet_rows(g.out_neighbours, head_downs(), members, range(g.n),
-                         g.n, header_meet)
+    header_meet, v = _header_rows(g, bd)
+    visits += v
 
     headers = set(bd.headers)
     for x in range(g.n):

@@ -1,7 +1,9 @@
 import gc
 import random
+import sys
 from array import array
 
+import numpy as np
 import pytest
 
 import latticekit as lk
@@ -46,6 +48,85 @@ def test_header_rows_match_oracle(family_zoo, small_lattices):
                         expected = lk.oracle_meet(c, h, x)
                         got = idx.header_meet[i][x]
                         assert (None if got == null else got) == expected, (spec, k, h, x)
+
+
+def latest_common_lower_bounds(g, bd):
+    """Header rows by brute force: row i holds, at z, the latest element of
+    Down(h_i) ∩ Down(z) in block order (blocks, then the residual), or the
+    null id n when there is none."""
+    c = lk.transitive_closure(g)
+    position = {x: p for p, x in enumerate(
+        [x for blk in bd.blocks for x in blk] + bd.residual)}
+    below = [set(c.nodes_of(c.down_masks[x])) for x in range(g.n)]
+    return [[max(below[h] & below[z], key=position.__getitem__, default=g.n)
+             for z in range(g.n)] for h in bd.headers]
+
+
+def assert_row_contract(g, ks):
+    for h in (g, lk.flip(g)):
+        for k in {k for k in ks if 1 <= k <= h.n}:
+            idx = lk.build_order_index(h, k=k)
+            got = [list(row) for row in idx.header_meet]
+            assert got == latest_common_lower_bounds(h, idx.bd), (h, k)
+
+
+def random_order(rng, n):
+    """A random order on n elements as its covering graph: each pair i < j
+    related with one random probability, closed transitively, then the ids
+    shuffled."""
+    p = rng.uniform(0.15, 0.5)
+    above = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                above[i] |= 1 << j | above[j]
+    label = rng.sample(range(n), n)
+    covers = [(label[i], label[j]) for i in range(n) for j in range(n)
+              if above[i] >> j & 1 and not any(above[i] >> w & 1 and above[w] >> j & 1
+                                               for w in range(n))]
+    return lk.parse_trg(f"lattice v1\n{n} {len(covers)}\n"
+                        + "".join(f"{u} {v}\n" for u, v in covers))
+
+
+def test_header_rows_are_latest_common_lower_bounds(small_lattices):
+    # a chain has the most levels (and at k = 1 over 64 headers), a bounded
+    # antichain only three
+    for g in (lk.generate(lk.FamilySpec("chain", 150)),
+              lk.generate(lk.FamilySpec("antichain_bounded", 30))):
+        assert_row_contract(g, (1, 2, 3, ceil_sqrt(g.n), g.n))
+    for g in small_lattices:
+        assert_row_contract(g, (1, 2, ceil_sqrt(g.n)))
+
+
+def test_header_rows_on_orders_that_are_not_lattices():
+    # the contract holds on any DAG, where a header and an element may have
+    # several maximal common lower bounds
+    rng = random.Random(23)
+    checked = 0
+    while checked < 300:
+        g = random_order(rng, rng.randint(4, 14))
+        if lk.is_partial_lattice(g) is None:
+            continue
+        assert_row_contract(g, (1, 2, ceil_sqrt(g.n)))
+        checked += 1
+
+
+def test_four_byte_rows():
+    # n = 65536 leaves no 2-byte null id; 32 blocks of 2048 keep it small
+    side = 256
+    g = lk.generate(lk.FamilySpec("grid", (side, side)))
+    idx = lk.build_order_index(g, k=2048)
+    n = g.n
+    assert n == 65536 and idx.bd.m == 32
+    size = sys.getsizeof(array("I", [n]) * n)
+    z = np.arange(n)
+    for h, row in zip(idx.bd.headers, idx.header_meet):
+        assert row.typecode == "I" and row.itemsize == 4
+        # rows are copies of a blank row, without the slack of a grown array
+        assert sys.getsizeof(row) == size
+        # the meet in a grid is the coordinatewise minimum
+        meet = np.minimum(z // side, h // side) * side + np.minimum(z % side, h % side)
+        assert np.array_equal(np.frombuffer(row, np.uint32), meet), h
 
 
 def test_decomposition_of_another_graph_is_rejected(diamond, chain9):
