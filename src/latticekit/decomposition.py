@@ -37,11 +37,14 @@ the path would put the end node in E too).  So a node's live downset is
 itself plus the union of its children's, minus E: one bitset per thin
 node, OR-ed once along each in-edge, sizes every live downset
 (:func:`_extract_blocks`).  One such pass with nothing removed gives every
-downset inside a block, subblock or residual (:func:`_downsets_within`).
+downset inside a block, the residual or a residual subblock
+(:func:`_downsets_within`).
 
-Work inside a block, subblock or chunk runs on its induced subgraph
-(:func:`_induced`); the one downward walk left splits a block into
-chunks.  Structural invariants raise
+Extraction inside a block or chunk, downset passes and cover
+decompositions run on the induced subgraph (:func:`_induced`); the meet
+rows inside blocks and subblocks filter covers to their part instead
+(:func:`~latticekit.order_index._meet_cells`).  The one downward walk
+left splits a block into chunks.  Structural invariants raise
 :class:`~latticekit.trg.StructureError`, so they hold under ``python -O``.
 """
 

@@ -23,12 +23,14 @@ empty set means the meet does not exist.  The in-block subroutine repeats
 the same shape one level down, using the pair tables for same-subblock
 hits.
 
-Subheader rows and pair tables come from a meet-row flood
-(:func:`_meet_rows`) on the induced subgraph of a block or subblock, from
-the subheaders' local downsets and a subblock's downset pass, the pass
-that also gives residual downsets.  Blocks and subblocks partition the
-nodes, so node-indexed arrays give each element's rank in its block (the
-order index's ``rank``), its subblock, and its rank there.
+Subheader rows and pair tables come from the order index's header-row
+dynamic program (:func:`~latticekit.order_index._meet_cells`), batched
+across every block (a block's subheaders its heads) and across every
+subblock (all its members heads, so a group of 64 fills one slice of each
+table); residual downsets come from a downset pass over each residual
+subblock.  Blocks and subblocks partition the nodes, so node-indexed
+arrays give each element's rank in its block (the order index's
+``rank``), its subblock, and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -49,14 +51,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import replace
 
-from .decomposition import (
-    _bit_ids,
-    _downsets_within,
-    _induced,
-    subblock_decompose,
-)
+from .decomposition import _bit_ids, _downsets_within, subblock_decompose
 from .metrics import QueryStats, SpaceReport, ceil_pow
-from .order_index import OrderIndex, _typecode, shared_order_index
+from .order_index import OrderIndex, _meet_cells, _typecode, shared_order_index
 from .trg import TRG, NodeIdError, flip
 
 
@@ -203,49 +200,6 @@ class MeetIndex:
         return sum(map(len, self.pair_tables[i]))
 
 
-def _meet_rows(out_nbrs, downs, ids, null: int) -> tuple[list[array], int]:
-    """One typed row per head, the head's meet with every slot of
-    ``out_nbrs``, by flooding, and the edge visits.  A head's downset is an
-    ``int`` bitset, bit y standing for slot y, and slots are numbered in
-    linear-extension order.
-
-    Members are taken from the highest bit down, each flooding the part of
-    its upset no later member has reached: the last member that reaches z
-    is the meet of z and the head (bounds are unique in a partial lattice,
-    and the unique maximal lower bound is the latest one in any linear
-    extension).  Slot y stores ``ids[y]``, a slot nothing reaches the null
-    id.  On an interval-closed universe's induced subgraph the stored meet
-    is the lattice meet: a common lower bound inside forces the meet inside.
-    """
-    slots = range(len(out_nbrs))
-    blank = array(_typecode(null), [null]) * len(out_nbrs)
-    mark = [0] * len(out_nbrs)
-    rows = []
-    visits = 0
-    for token, down in enumerate(downs, 1):
-        row = blank[:]
-        # written through a memoryview, which converts ints faster than
-        # the array's own item assignment; released before the row is kept
-        view = memoryview(row)
-        for y in reversed(_bit_ids(down, slots)):
-            if mark[y] == token:
-                continue
-            mark[y] = token
-            meet = view[y] = ids[y]
-            stack = [y]
-            while stack:
-                nb = out_nbrs[stack.pop()]
-                visits += len(nb)
-                for w in nb:
-                    if mark[w] < token:
-                        mark[w] = token
-                        view[w] = meet
-                        stack.append(w)
-        view.release()
-        rows.append(row)
-    return rows, visits
-
-
 def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                      k: int | None = None) -> MeetIndex:
     """Build the meet/join structure with block size ceil(n**c).
@@ -267,45 +221,46 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     sub_rank = [0] * n
     sub_of = [-2] * (n + 1)
 
-    sub_sizes: list[list[int]] = []
-    sub_residuals: list[list[int]] = []
-    subheader_meet: list[list[array]] = []
-    pair_tables: list[list[array]] = []
+    entries = [subblock_decompose(g, bd, i) for i in range(bd.m)]
+    sub_sizes = [[len(sub) for sub in entry.subblocks] for entry in entries]
+    sub_residuals = [entry.residual for entry in entries]
     residual_downsets: list[list[int]] = []
-
-    for i, blk in enumerate(bd.blocks):
-        entry = subblock_decompose(g, bd, i)
+    for entry in entries:
         visits += entry.edge_visits
-        sub_sizes.append([len(sub) for sub in entry.subblocks])
-        sub_residuals.append(entry.residual)
-
-        rows, v = _meet_rows(_induced(g.out_neighbours, blk),
-                             [oi.down[h] for h in entry.subheaders], blk, n)
-        visits += v
-        subheader_meet.append(rows)
-
-        tables = []
         for j, sub in enumerate(entry.subblocks):
             for r, x in enumerate(sub):
                 sub_rank[x] = r
                 sub_of[x] = j
-            # meets of every member pair, computed inside the subblock
-            s = len(sub)
-            downs, v = _downsets_within(g.in_neighbours, sub)
-            trows, w = _meet_rows(_induced(g.out_neighbours, sub), downs, sub, n)
-            visits += v + w
-            table = blank * (s * s)
-            for r, row in enumerate(trows):
-                table[r * s:(r + 1) * s] = row
-            tables.append(table)
-        pair_tables.append(tables)
-
         downs, v = _downsets_within(g.in_neighbours, entry.residual)
         visits += v
         residual_downsets.append(downs)
         for r, x in enumerate(entry.residual):
             sub_rank[x] = r
             sub_of[x] = -1
+
+    # subheader rows: the blocks are the parts, their subheaders the heads
+    subheader_meet: list[list[array]] = [[] for _ in entries]
+    for lo, cells, v in _meet_cells(g, bd.blocks, [e.subheaders for e in entries]):
+        visits += v
+        for rows, blk, entry in zip(subheader_meet, bd.blocks, entries):
+            for line in cells[:max(0, len(entry.subheaders) - lo)].take(blk, axis=1):
+                row = blank * len(blk)
+                memoryview(row)[:] = line
+                rows.append(row)
+
+    # pair tables: the subblocks are the parts and every member a head, so
+    # a group fills rows lo, lo + 1, ... of a table, one contiguous slice
+    pair_tables = [[blank * (len(sub) * len(sub)) for sub in entry.subblocks]
+                   for entry in entries]
+    subs = [sub for entry in entries for sub in entry.subblocks]
+    tables = [t for ts in pair_tables for t in ts]
+    for lo, cells, v in _meet_cells(g, subs, subs):
+        visits += v
+        for sub, table in zip(subs, tables):
+            s = len(sub)
+            if s > lo:
+                rows = cells[:s - lo].take(sub, axis=1)
+                memoryview(table)[lo * s:lo * s + rows.size] = rows.ravel()
 
     idx = MeetIndex(g, c, oi, sub_sizes, sub_residuals, subheader_meet, pair_tables,
                     residual_downsets, sub_rank, sub_of, visits)

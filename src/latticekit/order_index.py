@@ -15,11 +15,14 @@ beyond (:func:`_typecode`).  Every row owns its buffer, so a
 ``sys.getsizeof`` walk sees the bytes the index holds.
 
 Local downsets come from one OR pass over each block and the residual
-(:func:`~latticekit.decomposition._downsets_within`), header rows from a
-dynamic program over the levels of the graph, batched across all heads in
-numpy (:func:`_header_rows`).  Row i holds, at z, the latest element of
-Down(h_i) ∩ Down(z) in block order, on any DAG; in a partial lattice that
-is the meet.
+(:func:`~latticekit.decomposition._downsets_within`), header rows from
+:func:`_meet_cells`, a dynamic program over the levels of the graph,
+batched across all heads in numpy, with the whole graph as its one part.
+Row i holds, at z, the latest element of Down(h_i) ∩ Down(z) in block
+order, on any DAG; in a partial lattice that is the meet.  The meet
+engine's subheader rows and pair tables come from the same program, its
+parts the blocks and the subblocks: every meet row has this one
+implementation.
 
 The query splits into three cases.  If x sits in a principal block, map y
 to its representative in that block and test x's bit in the
@@ -136,72 +139,95 @@ def _typecode(n: int) -> str:
     return "H" if n <= 0xFFFF else "I"
 
 
-def _header_rows(g: TRG, bd: BlockDecomposition) -> tuple[list[array], int]:
-    """One typed row per block header h_i, holding at slot z the latest
-    element of Down(h_i) ∩ Down(z) in block order (blocks in extraction
-    order, then the residual), or the null id n when they share none; in a
-    partial lattice that is the meet of z and h_i, the unique maximal lower
-    bound being the latest one in any linear extension.  Also returns the
-    edge visits: each edge once in the reverse pass and once more in the
-    level passes of each group of 64 heads.
+def _meet_cells(g: TRG, parts: list[list[int]], heads: list[list[int]]):
+    """Meet rows of heads inside their parts, 64 head indexes at a time.
 
-    A level-batched dynamic program over the heads, 64 at a time: the cell
-    of z is z for the heads above z, else the latest cell over the elements
-    z covers.  One reverse pass over the block order, a linear extension
-    (extracted sets are down-closed and every member list keeps extension
-    order), gives each node its heads above as an m-bit mask and its
-    depth, the longest chain above it.  Covered elements lie deeper, so
-    levels run from the deepest up.  A level's nodes are sorted by
-    in-degree, so the nodes with a t-th lower cover are a prefix, and each
-    t costs one gather and one ``np.maximum`` across all heads; once fewer
-    nodes are left than values of t, each takes the maximum of its other
-    covers in one call.  Cells hold block-order positions plus one, 0
-    standing for null, and map back to ids at the end.
+    ``parts`` are disjoint node lists, each in linear-extension order, and
+    ``heads[p]`` lists nodes of ``parts[p]``.  Yields ``(lo, cells,
+    visits)`` per group of head indexes lo, lo + 1, ...: ``cells`` is a
+    typed numpy array, overwritten by the next group, with a row per index
+    in the group and a column per node id.  At a member z of part P, row t
+    holds the latest element of Down_P(heads[P][lo + t]) ∩ Down_P(z) in P's
+    order, Down_P taken in the subgraph induced on P, or the null id n when
+    they share none or P has no such head; nodes outside the parts hold
+    null.  In a partial lattice and an interval-closed P that is the meet
+    of z and the head whenever the meet lies in P, the unique maximal lower
+    bound being the latest one in any linear extension.  ``visits`` counts
+    the in-part edges of each pass: the reverse pass's with the first
+    group, then one per group.
+
+    A level-batched dynamic program: the cell of z is z for the heads above
+    z, else the latest cell over the elements z covers in its part.  One
+    reverse pass over the parts gives each member its heads above as a
+    bitmask and its depth, the longest chain above it in its part.
+    Covered elements lie deeper, so levels run from the deepest up.  A
+    level's nodes are sorted by in-part in-degree, so the nodes with a t-th
+    lower cover are a prefix, and each t costs one gather and one
+    ``np.maximum`` across the group; once fewer nodes are left than values
+    of t, each takes the maximum of its other covers in one call.  Cells
+    hold positions in the concatenated parts plus one, 0 standing for null,
+    and map back to ids at the end.
     """
-    n, m = g.n, bd.m
-    if not m:
-        return [], 0
+    n = g.n
+    width = max(map(len, heads), default=0)
+    if not width:
+        return
     out_nbrs, in_nbrs = g.out_neighbours, g.in_neighbours
-    order = [x for blk in bd.blocks for x in blk] + bd.residual
+    order = list(chain.from_iterable(parts))
+    part_of = [-1] * n
+    for p, xs in enumerate(parts):
+        for x in xs:
+            part_of[x] = p
     above = [0] * n
-    for i, h in enumerate(bd.headers):
-        above[h] = 1 << i
+    for hs in heads:
+        for t, h in enumerate(hs):
+            above[h] = 1 << t
     depth = [0] * n
     for z in reversed(order):
+        p = part_of[z]
         s = above[z]
         d = 0
         for w in out_nbrs[z]:
-            s |= above[w]
-            e = depth[w]
-            if e >= d:
-                d = e + 1
+            if part_of[w] == p:
+                s |= above[w]
+                e = depth[w]
+                if e >= d:
+                    d = e + 1
         above[z] = s
         depth[z] = d
 
-    depths = np.array(depth)
+    # the in-part lower covers of each node
+    part = np.array(part_of)
     degree = np.fromiter(map(len, in_nbrs), np.intp, n)
-    offset = np.zeros(n + 1, np.intp)
-    np.cumsum(degree, out=offset[1:])
-    covers = np.fromiter(chain.from_iterable(in_nbrs), np.intp, int(offset[-1]))
-    nodes = np.lexsort((-degree, -depths))  # deepest level first, by in-degree
+    covers = np.fromiter(chain.from_iterable(in_nbrs), np.intp, int(degree.sum()))
+    owner = np.repeat(np.arange(n), degree)
+    inside = part[owner]
+    own = (part[covers] == inside) & (inside >= 0)
+    covers = covers[own]
+    degree = np.bincount(owner[own], minlength=n)
+    offset = np.cumsum(degree) - degree
+    members = np.array(order, np.intp)
+    depths = np.array(depth)[members]
+    # deepest level first, each by in-degree
+    nodes = members[np.lexsort((-degree[members], -depths))]
     start = offset[nodes]
     degree = degree[nodes].tolist()
-    # the deepest level holds only minimal elements, whose cells are final
+    # the deepest level holds only minimal elements of their parts, whose
+    # cells are final
     bounds = np.cumsum(np.bincount(depths)[::-1]).tolist()
 
-    tc = _typecode(n)
-    dtype = np.uint16 if tc == "H" else np.uint32
-    position = np.empty(n, dtype)
-    position[order] = np.arange(1, n + 1, dtype=dtype)
+    dtype = np.uint16 if _typecode(n) == "H" else np.uint32
+    position = np.zeros((n, 1), dtype)
+    position[members, 0] = np.arange(1, len(order) + 1, dtype=dtype)
     ids = np.array([n, *order], dtype)
-    blank = array(tc, [n]) * n
-    rows = []
-    # 64 heads at a time, which bounds the cells to 64 per node
-    for lo in range(0, m, 64):
+    # 64 heads at a time, which bounds the cells to 64 per node; each group
+    # is written to ``out`` as rows per head, valid until the next group
+    out = np.empty((min(64, width), n), dtype)
+    for lo in range(0, width, 64):
         words = np.array([s >> lo & 0xFFFF_FFFF_FFFF_FFFF for s in above], "<u8")
         cells = np.unpackbits(words.view(np.uint8).reshape(n, 8), axis=1,
-                              count=min(64, m - lo), bitorder="little").astype(dtype)
-        cells *= position[:, None]
+                              count=min(64, width - lo), bitorder="little").astype(dtype)
+        cells *= position
         for a, b in zip(bounds, bounds[1:]):
             level = nodes[a:b]
             first = start[a:b]
@@ -218,13 +244,32 @@ def _header_rows(g: TRG, bd: BlockDecomposition) -> tuple[list[array], int]:
                     break
                 np.maximum(best[:p], cells[covers[first[:p] + t]], out=best[:p])
             cells[level] = best
-        for column in cells.T:
+        group = out[:cells.shape[1]]
+        group[:] = cells.T
+        del cells  # freed before the caller reads the group
+        for line in group:
+            np.take(ids, line, out=line)
+        yield lo, group, len(covers) * (1 if lo else 2)
+
+
+def _header_rows(g: TRG, bd: BlockDecomposition) -> tuple[list[array], int]:
+    """One typed row per block header h_i, holding at slot z the latest
+    element of Down(h_i) ∩ Down(z) in block order (blocks in extraction
+    order, then the residual, a linear extension), or the null id n; in a
+    partial lattice, the meet of z and h_i.  Also returns the edge visits."""
+    order = [x for blk in bd.blocks for x in blk] + bd.residual
+    blank = array(_typecode(g.n), [g.n]) * g.n
+    rows = []
+    visits = 0
+    for _, cells, v in _meet_cells(g, [order], [bd.headers]):
+        visits += v
+        for line in cells:
             row = blank[:]
             # a copy of blank keeps its exact allocation, where a row built
             # from bytes is over-allocated
-            memoryview(row)[:] = ids[column]
+            memoryview(row)[:] = line
             rows.append(row)
-    return rows, len(covers) * (1 + (m + 63) // 64)
+    return rows, visits
 
 
 def build_order_index(g: TRG, bd: BlockDecomposition | None = None,

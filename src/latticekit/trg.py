@@ -132,10 +132,10 @@ def parse_trg(text: str | bytes) -> TRG:
                 raise ParseError(lineno, f"expected 'lattice v1' header, got {line!r}")
             stage = 1
         elif stage == 1:
-            parts = line.split()
-            if len(parts) != 2 or not all(_is_int(p) for p in parts):
-                raise ParseError(lineno, "expected '<node count> <edge count>'")
-            n, m = int(parts[0]), int(parts[1])
+            try:
+                n, m = map(int, line.split())
+            except ValueError:
+                raise ParseError(lineno, "expected '<node count> <edge count>'") from None
             if n <= 0:
                 raise ParseError(lineno, f"node count must be positive, got {n}")
             if m < 0:
@@ -146,10 +146,10 @@ def parse_trg(text: str | bytes) -> TRG:
         else:
             if len(seen) == m:
                 raise ParseError(lineno, f"unexpected line after {m} edges: {line!r}")
-            parts = line.split()
-            if len(parts) != 2 or not all(_is_int(p) for p in parts):
-                raise ParseError(lineno, f"expected edge '<u> <v>', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise ParseError(lineno, f"expected edge '<u> <v>', got {line!r}") from None
             for node in (u, v):
                 if not 0 <= node < n:
                     raise ParseError(lineno, f"node id {node} out of range [0, {n})")
@@ -170,14 +170,6 @@ def parse_trg(text: str | bytes) -> TRG:
         for lst in adj:
             lst.sort()
     return TRG(n=n, out_neighbours=out_nb, in_neighbours=in_nb, edge_count=m)
-
-
-def _is_int(s: str) -> bool:
-    try:
-        int(s)
-    except ValueError:
-        return False
-    return True
 
 
 def format_trg(g: TRG, comment: str | None = None) -> str:

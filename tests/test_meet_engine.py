@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import latticekit as lk
@@ -85,16 +86,66 @@ def test_tradeoff_exponents_agree(c_exp):
 
 
 def test_chain_c1_single_block():
-    g = lk.generate(lk.FamilySpec("chain", 16))
-    idx = lk.build_meet_index(g, 1.0)
-    assert idx.bd.m == 1
-    stats = lk.QueryStats()
-    assert idx.meet(3, 11) == 3
-    idx.meet(3, 11, stats)
-    assert stats.array_probes >= 2  # exactly one block loop iteration
-    for x in range(16):
-        for y in range(16):
+    # chain 5000 has 70 subheaders and 71-member subblocks, so its subheader
+    # rows and pair tables each take two groups of 64 heads
+    for n in (16, 5000):
+        g = lk.generate(lk.FamilySpec("chain", n))
+        idx = lk.build_meet_index(g, 1.0)
+        assert idx.bd.m == 1
+        stats = lk.QueryStats()
+        assert idx.meet(3, 11) == 3
+        idx.meet(3, 11, stats)
+        assert stats.array_probes >= 2  # exactly one block loop iteration
+        entry = lk.subblock_decompose(g, idx.bd, 0)
+        for h, row in zip(entry.subheaders, idx.subheader_meet[0]):
+            assert list(row) == [min(h, x) for x in idx.bd.blocks[0]], (n, h)
+        for sub, table in zip(entry.subblocks, idx.pair_tables[0]):
+            assert list(table) == [min(x, y) for x in sub for y in sub], (n, sub[-1])
+        if n == 16:
+            pairs = [(x, y) for x in range(n) for y in range(n)]
+        else:
+            assert len(entry.subheaders) > 64 and max(map(len, entry.subblocks)) > 64
+            rng = random.Random(5)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+        for x, y in pairs:
             assert idx.meet(x, y) == min(x, y)
+
+
+def test_in_block_rows_across_the_64_head_seam():
+    # a chain of 3900, then two parallel chains of 2400 under a top: at
+    # k = 3900 one block holds the chain (61 subheaders, 63-member
+    # subblocks), the other the rest (over 64 subheaders, 70-member
+    # subblocks), so the second group of 64 heads covers some parts only
+    c, a = 3900, 2400
+    x0, y0, top = c, c + a, c + 2 * a
+    edges = [(i, i + 1) for i in range(top - 1) if i not in (c - 1, y0 - 1)]
+    edges += [(c - 1, x0), (c - 1, y0), (y0 - 1, top), (top - 1, top)]
+    g = lk.parse_trg(f"lattice v1\n{top + 1} {len(edges)}\n"
+                     + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
+    idx = lk.build_meet_index(g, with_dual=False, k=c)
+    counts = [len(rows) for rows in idx.subheader_meet]
+    assert counts[0] < 64 < counts[1]
+    assert max(idx.sub_sizes[0]) < 64 < min(idx.sub_sizes[1])
+    block_of = np.array(idx.bd.block_of)
+    sub_of = np.array(idx.sub_of)
+
+    def meets(heads, part):
+        # ids rise along each chain; across the two parallel chains the meet
+        # is the top of the chain of 3900 below them
+        u, v = np.array(heads)[:, None], np.array(part)[None, :]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        apart = (x0 <= lo) & (lo < y0) & (y0 <= hi) & (hi < top)
+        return np.where(apart, c - 1, lo)
+
+    for i, blk in enumerate(idx.bd.blocks):
+        entry = lk.subblock_decompose(g, idx.bd, i)
+        z = meets(entry.subheaders, blk)
+        expected = np.where(block_of[z] == i, z, g.n)
+        assert np.array_equal([list(r) for r in idx.subheader_meet[i]], expected), i
+        for j, (sub, table) in enumerate(zip(entry.subblocks, idx.pair_tables[i])):
+            z = meets(sub, sub)
+            expected = np.where((block_of[z] == i) & (sub_of[z] == j), z, g.n)
+            assert list(table) == expected.ravel().tolist(), (i, j)
 
 
 def test_c_out_of_range():

@@ -111,6 +111,44 @@ def test_header_rows_on_orders_that_are_not_lattices():
         checked += 1
 
 
+def latest_in_part(g, part, heads):
+    """In-block rows by brute force: per head h, at rank r in ``part``, the
+    latest element of Down_P(h) ∩ Down_P(part[r]) in ``part``'s member
+    order, Down_P taken inside ``part``, or the null id n."""
+    position = {x: p for p, x in enumerate(part)}
+    below = {x: lk.downset(g, x, restrict=position) for x in part}
+    return [[max(below[h] & below[z], key=position.__getitem__, default=g.n)
+             for z in part] for h in heads]
+
+
+def assert_in_block_contract(g, ks):
+    for h in (g, lk.flip(g)):
+        for k in {k for k in ks if 1 <= k <= h.n}:
+            idx = lk.build_meet_index(h, with_dual=False, k=k)
+            for i, blk in enumerate(idx.bd.blocks):
+                entry = lk.subblock_decompose(h, idx.bd, i)
+                got = [list(row) for row in idx.subheader_meet[i]]
+                assert got == latest_in_part(h, blk, entry.subheaders), (h, k, i)
+                for j, sub in enumerate(entry.subblocks):
+                    rows = latest_in_part(h, sub, sub)
+                    assert list(idx.pair_tables[i][j]) == [z for row in rows for z in row]
+
+
+def test_in_block_rows_are_latest_common_lower_bounds(small_lattices):
+    # subheader rows and pair tables keep the header rows' contract inside
+    # their block or subblock, on any DAG
+    for g in small_lattices:
+        assert_in_block_contract(g, (2, ceil_sqrt(g.n), g.n))
+    rng = random.Random(23)
+    checked = 0
+    while checked < 300:
+        g = random_order(rng, rng.randint(4, 14))
+        if lk.is_partial_lattice(g) is None:
+            continue
+        assert_in_block_contract(g, (2, ceil_sqrt(g.n), g.n))
+        checked += 1
+
+
 def test_four_byte_rows():
     # n = 65536 leaves no 2-byte null id; 32 blocks of 2048 keep it small
     side = 256
@@ -127,6 +165,34 @@ def test_four_byte_rows():
         # the meet in a grid is the coordinatewise minimum
         meet = np.minimum(z // side, h // side) * side + np.minimum(z % side, h % side)
         assert np.array_equal(np.frombuffer(row, np.uint32), meet), h
+
+    # the meet index's in-block rows and pair tables are 4-byte copies of
+    # blank rows too, null where the meet leaves the block or subblock
+    meet = lk.build_meet_index(g, k=2048, with_dual=False)
+    sub_of = np.array(meet.sub_of)
+    block_of = np.array(meet.bd.block_of)
+
+    def coordinatewise_meets(part, heads, inside):
+        a, b = np.array(heads)[:, None], np.array(part)[None, :]
+        z = np.minimum(a // side, b // side) * side + np.minimum(a % side, b % side)
+        return np.where(inside(z), z, n)
+
+    for i, blk in enumerate(meet.bd.blocks):
+        entry = lk.subblock_decompose(g, meet.bd, i)
+        assert len(entry.subheaders) > 1 and entry.subblocks
+        rows = meet.subheader_meet[i]
+        tables = meet.pair_tables[i]
+        for a in rows + tables:
+            assert a.typecode == "I" and sys.getsizeof(a) == sys.getsizeof(
+                array("I", [n]) * len(a))
+        got = np.array([np.frombuffer(row, np.uint32) for row in rows])
+        assert np.array_equal(got, coordinatewise_meets(
+            blk, entry.subheaders, lambda z: block_of[z] == i)), i
+        for j, (sub, table) in enumerate(zip(entry.subblocks, tables)):
+            expected = coordinatewise_meets(
+                sub, sub, lambda z: (block_of[z] == i) & (sub_of[z] == j))
+            assert np.array_equal(np.frombuffer(table, np.uint32),
+                                  expected.ravel()), (i, j)
 
 
 def test_decomposition_of_another_graph_is_rejected(diamond, chain9):
