@@ -40,12 +40,24 @@ node, OR-ed once along each in-edge, sizes every live downset
 downset inside a block, the residual or a residual subblock
 (:func:`_downsets_within`).
 
-Extraction inside a block or chunk, downset passes and cover
-decompositions run on the induced subgraph (:func:`_induced`); the meet
-rows inside blocks and subblocks filter covers to their part instead
-(:func:`~latticekit.order_index._meet_cells`).  The one downward walk
-left splits a block into chunks.  Structural invariants raise
-:class:`~latticekit.trg.StructureError`, so they hold under ``python -O``.
+The same bitsets split a block into chunks, so no build walks downward.
+When header x is taken, each element c it covers inside its block s still
+holds its bitset, a superset of Down(c) inside s, and the chunk of c is
+that bitset masked with s, minus the chunks of the earlier covers
+(:func:`_claim`): everything below an earlier chunk's members is in it,
+so this is exactly what :func:`cover_decompose`, the public walk kept as
+the reference, returns.  Decomposition trees claim every block's chunks,
+the residual's under its top, from the one extraction loop that finds the
+blocks; the simple join index claims its chunks from its order index's
+local downsets.
+
+Extraction inside a subblock and downset passes run on the induced
+subgraph (:func:`_induced`); a tree reads each chunk's in-lists off the
+graph through two node-indexed lists, a tag and a rank, and the meet rows
+inside blocks and subblocks filter covers to their part
+(:func:`~latticekit.order_index._meet_cells`).  Structural invariants
+raise :class:`~latticekit.trg.StructureError`, so they hold under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -102,7 +114,7 @@ def _bit_ids(s: int, ids: list) -> list:
     return list(compress(ids[lo:s.bit_length()], bits))
 
 
-def _extract_blocks(in_nbrs, visit_order, k):
+def _extract_blocks(in_nbrs, visit_order, k, ids=None, claim=False):
     """Greedy fat-node extraction over ``visit_order``, a linear extension of
     all of ``in_nbrs``.  Returns (blocks, headers, residual, edge_visits).
 
@@ -118,37 +130,84 @@ def _extract_blocks(in_nbrs, visit_order, k):
     bounds the scratch by the thin nodes whose covers are still ahead.
 
     Bit p stands for the node visited p-th, so lists come out in visit
-    order (a block ends with its header) and map back through a table of
-    the id objects of ``in_nbrs`` where it has them: no new ints.
+    order (a block ends with its header) and map back through ``ids``, the
+    id objects of the nodes in visit order; by default a table of the id
+    objects of ``in_nbrs`` where it has them: no new ints.
+
+    With ``claim``, each block comes as its header's chunks (:func:`_claim`)
+    instead of its members, and the last node visited takes whatever is
+    left as its block, the residual when it is thin, so the residual comes
+    back empty; that node must be above all of it.
     """
-    own = [None] * len(in_nbrs)
     covers = [0] * len(in_nbrs)  # covers of each node still to be visited
-    for x in visit_order:
-        own[x] = x
-    for nb in in_nbrs:
-        for w in nb:
-            own[w] = w
-            covers[w] += 1
-    ids = [own[x] for x in visit_order]
+    if ids is None:
+        own = [None] * len(in_nbrs)
+        for x in visit_order:
+            own[x] = x
+        for nb in in_nbrs:
+            for w in nb:
+                own[w] = w
+                covers[w] += 1
+        ids = [own[x] for x in visit_order]
+    else:
+        for nb in in_nbrs:
+            for w in nb:
+                covers[w] += 1
     live = (1 << len(in_nbrs)) - 1
     down = [0] * len(in_nbrs)
-    blocks: list[list[int]] = []
+    blocks: list[list] = []
     headers: list[int] = []
+    last = len(visit_order) - 1 if claim else -1
     for p, x in enumerate(visit_order):
+        nb = in_nbrs[x]
         s = 1 << p
-        for c in in_nbrs[x]:
+        for c in nb:
             s |= down[c]
-            covers[c] -= 1
-            if not covers[c]:
-                down[c] = 0
         s &= live
-        if s.bit_count() >= k:
+        if s.bit_count() >= k or p == last:
+            if p == last and s != live:
+                raise StructureError("the last node visited must top the residual")
             live ^= s
-            blocks.append(_bit_ids(s, ids))
+            blocks.append(_claim(s, p, [down[c] & s for c in nb], ids) if claim
+                          else _bit_ids(s, ids))
             headers.append(ids[p])
         else:
             down[x] = s
+        # after the block test, so a claim still reads the covers' bitsets
+        for c in nb:
+            covers[c] -= 1
+            if not covers[c]:
+                down[c] = 0
     return blocks, headers, _bit_ids(live, ids), sum(map(len, in_nbrs))
+
+
+def _claim(s: int, h: int, downs, ids: list) -> list[tuple[int, list]]:
+    """The cover decomposition of the block ``s``, a bitset whose bit ``h``
+    is its header, from ``downs``, the downsets inside ``s`` of the
+    header's covered children in ascending id order, each with the child
+    itself as its highest bit, or 0 for a child outside ``s``.  Each child
+    takes its downset minus the earlier chunks, which is what
+    :func:`cover_decompose`'s walk takes, since the earlier chunks hold
+    everything below them; each chunk maps back through ``ids`` in bit
+    order.  A child inside an earlier chunk, or a block the chunks and the
+    header do not partition, raises :class:`StructureError`.  ``claimed``
+    leaves out the header, so each step costs the width of the child's
+    downset."""
+    claimed = 0
+    chunks = []
+    for d in downs:
+        if d:
+            top = d.bit_length() - 1  # the child's own bit
+            chunk = d ^ (d & claimed)
+            if chunk >> top != 1:
+                raise StructureError("cover children must be pairwise incomparable")
+            claimed |= chunk
+            # a lone child, common in a wide block, skips the bit scan
+            chunks.append((ids[top], _bit_ids(chunk, ids) if chunk & (chunk - 1)
+                           else [ids[top]]))
+    if claimed | 1 << h != s:
+        raise StructureError("cover decomposition failed to partition the block")
+    return chunks
 
 
 def _extract_within(in_nbrs, members: list[int], k: int):
@@ -266,12 +325,16 @@ def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]
     """Partition ``members`` minus its top ``header`` by the header's covered
     children, ascending id: each child takes whatever of its downset inside
     ``members`` is not claimed by an earlier child.  Each chunk lists its
-    members in their order in ``members`` (linear-extension order for
-    blocks and chunks, so a chunk ends with its header).
+    members in their order in ``members``, which may be any order
+    (linear-extension order for blocks and chunks, so a chunk ends with its
+    header).
 
     ``members`` must be interval-closed with top ``header`` (true for blocks
     and chunks), which makes a downward walk through unclaimed nodes
-    compute exactly the stated set difference.
+    compute exactly the stated set difference.  This walk is the public
+    form of the split and the reference tests hold the builds to: no build
+    calls it, since trees and the simple join index claim the same chunks
+    from bitsets (:func:`_claim`).
     """
     h = members.index(header)  # ValueError when the header is no member
     in_nbrs = _induced(g.in_neighbours, members)
@@ -409,37 +472,35 @@ def build_decomposition_tree(g: TRG, d: int | None = None) -> DecompositionTree:
         # whole lattice fits in a single leaf chunk under its top
         parts = [("chunk", top, order)]
     else:
-        blocks, headers, residual, _ = _extract_blocks(
-            g2.in_neighbours, order, -(-n // d))
-        parts = _root_blocks(headers, blocks, residual, top)
+        blocks, headers, _, _ = _extract_blocks(
+            g2.in_neighbours, order, -(-n // d), claim=True)
+        parts = [("block", h, chunks) for h, chunks in zip(headers, blocks)]
     tree = _grow_tree(g2, top, added, d, parts, 2 * d)
     tree.verify()
     return tree
 
 
-def _root_blocks(headers, blocks, residual, top: int) -> list[tuple[str, int, list]]:
-    """Root parts of a tree over one block decomposition of a topped
-    lattice: a block node per principal block in extraction order, then
-    the residual, whose top is the lattice's."""
-    parts = [("block", h, blk) for h, blk in zip(headers, blocks)]
-    if residual:
-        if top not in residual:
-            raise StructureError("a topped lattice leaves its top in the residual")
-        parts.append(("block", top, residual))
-    return parts
-
-
 def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts,
                leaf_size: int) -> DecompositionTree:
     """The decomposition tree whose root children are ``parts``, each a
-    (kind, header, members) triple, built bottom-up as the tuples
-    :class:`DecompositionTree` describes.
+    block ``("block", header, chunks)`` with its chunks as :func:`_claim`
+    gives them, or a chunk ``("chunk", header, members)``, built bottom-up
+    as the tuples :class:`DecompositionTree` describes.
 
-    A block node gets one chunk child per element its header covers
-    (:func:`cover_decompose`).  A chunk smaller than ``leaf_size`` is a
-    leaf, its members in their linear-extension order; a larger one is
-    block-decomposed with block size |chunk|/d, visiting them in it.
+    A chunk smaller than ``leaf_size`` is a leaf, its members in their
+    linear-extension order.  A larger one is block-decomposed with block
+    size |chunk|/d, visiting them in it, by :func:`_extract_blocks` with
+    ``claim``: every block comes with its chunks, and the last one, headed
+    by the chunk's own header, is the self block.  No cover walk runs.
+    The extraction's in-lists are the chunk's, read off the graph's
+    through two node-indexed lists: ``tag``, the last chunk split that
+    held the node, and ``rank``, the node's rank in it.
     """
+    in_nbrs = g2.in_neighbours
+    size = g2.n if leaf_size <= g2.n else 0  # no chunk is split otherwise
+    tag = [0] * size
+    rank = [0] * size
+    splits = 0
     nodes = leaf_cells = deepest = 0
 
     def reached(depth: int) -> None:
@@ -448,32 +509,28 @@ def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts,
         if depth > deepest:
             deepest = depth
 
-    def block(h: int, members: list[int], depth: int) -> tuple:
+    def block(h: int, chunks: list[tuple[int, list[int]]], depth: int) -> tuple:
         reached(depth)
-        return (h, tuple(chunk(c, m, depth + 1)
-                         for c, m in cover_decompose(g2, members, h)), None)
+        return (h, tuple(chunk(c, m, depth + 1) for c, m in chunks), None)
 
     def chunk(me: int, members: list[int], depth: int) -> tuple:
-        nonlocal leaf_cells
+        nonlocal leaf_cells, splits
         reached(depth)
         if len(members) < leaf_size:
             leaf_cells += len(members)
             return (me, None, tuple(members))
-        k = -(-len(members) // d)  # ceil(|chunk| / d)
-        blocks, headers, residual, _ = _extract_within(g2.in_neighbours, members, k)
-        if residual:
-            if me not in residual:
-                raise StructureError("chunk header must top the residual")
-            self_members = residual
-        else:
-            if not headers or headers[-1] != me:
-                raise StructureError("chunk header must head the last block")
-            headers.pop()
-            self_members = blocks.pop()
-        kids = tuple(block(h, blk, depth + 1) for h, blk in zip(headers, blocks))
-        if len(self_members) < 2:
+        splits += 1
+        t = splits
+        for r, x in enumerate(members):
+            tag[x] = t
+            rank[x] = r
+        blocks, headers, _, _ = _extract_blocks(
+            [[rank[w] for w in in_nbrs[x] if tag[w] == t] for x in members],
+            range(len(members)), -(-len(members) // d), members, claim=True)
+        kids = tuple(block(h, cs, depth + 1) for h, cs in zip(headers[:-1], blocks))
+        if not blocks[-1]:  # the chunk's header is alone in its block
             return (me, kids, None)
-        return (me, kids, block(me, self_members, depth + 1))
+        return (me, kids, block(me, blocks[-1], depth + 1))
 
     root = (None, tuple((chunk if kind == "chunk" else block)(h, members, 1)
                         for kind, h, members in parts), None)

@@ -17,7 +17,11 @@ differ in the tree:
   block's header would be above both too), and the first chunk whose
   header is above both holds it (an earlier one would claim it).  Cost:
   m header tests, at most d child tests and one chunk scan, each chunk
-  lying in the local downset of a thin node and so smaller than sqrt(n);
+  lying in the local downset of a thin node and so smaller than sqrt(n).
+  The chunks come from those local downsets: each covered child of a
+  header takes its bitset minus the earlier children's
+  (:func:`~latticekit.decomposition._claim`), with no walk and no induced
+  subgraph;
 * the recursive index descends the full decomposition tree and finishes
   by scanning one leaf chunk of size below 2d: order d * log(n)/log(d)
   comparisons.
@@ -50,13 +54,13 @@ from dataclasses import dataclass, replace
 
 from .decomposition import (
     DecompositionTree,
+    _claim,
     _grow_tree,
-    _root_blocks,
     build_decomposition_tree,
 )
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .order_index import OrderIndex, shared_order_index
-from .trg import TRG, NodeIdError, with_top
+from .trg import TRG, NodeIdError, StructureError, with_top
 
 
 @dataclass
@@ -105,11 +109,20 @@ class SimpleJoinIndex(_TreeJoin):
         self.virtual_top = added
         self.order = shared_order_index(g2, ceil_sqrt(g2.n))
         self.d = max_degree(g2).max_degree
-        bd = self.order.bd
-        # every chunk is a leaf; each lies in a thin node's local downset
-        self.tree = _grow_tree(g2, top, added, self.d,
-                               _root_blocks(bd.headers, bd.blocks, bd.residual, top),
-                               g2.n + 1)
+        oi = self.order
+        bd = oi.bd
+        if bd.residual and bd.block_of[top] != bd.m:
+            raise StructureError("a topped lattice leaves its top in the residual")
+        # each block's chunks from its members' local downsets, over ranks
+        # in the block; every chunk is a leaf, in a thin node's local downset
+        parts = []
+        for i, (h, members) in enumerate(zip(bd.headers + [top],
+                                             bd.blocks + [bd.residual])):
+            if members:
+                downs = [oi.down[c] for c in g2.in_neighbours[h] if bd.block_of[c] == i]
+                parts.append(("block", h, _claim((1 << len(members)) - 1, oi.rank[h],
+                                                 downs, members)))
+        self.tree = _grow_tree(g2, top, added, self.d, parts, g2.n + 1)
         self.block_order = [b[0] for b in self.tree.root[1]]
 
 

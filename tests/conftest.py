@@ -71,6 +71,24 @@ def tree_leaves(node) -> list[tuple]:
     return [n for n in tree_nodes(node) if n[1] is None]
 
 
+def random_order(rng, n):
+    """A random order on n elements as its covering graph: each pair i < j
+    related with one random probability, closed transitively, then the ids
+    shuffled."""
+    p = rng.uniform(0.15, 0.5)
+    above = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                above[i] |= 1 << j | above[j]
+    label = rng.sample(range(n), n)
+    covers = [(label[i], label[j]) for i in range(n) for j in range(n)
+              if above[i] >> j & 1 and not any(above[i] >> w & 1 and above[w] >> j & 1
+                                               for w in range(n))]
+    return lk.parse_trg(f"lattice v1\n{n} {len(covers)}\n"
+                        + "".join(f"{u} {v}\n" for u, v in covers))
+
+
 def brute_force_covers(values, divides):
     """Covering pairs of a finite order given as an explicit predicate."""
     pairs = []

@@ -227,6 +227,24 @@ def test_tree_invariants(family_zoo):
         assert tree.leaf_cells <= tree.n
 
 
+def test_trees_claim_chunks_without_walks_or_induced_copies(monkeypatch, family_zoo):
+    from latticekit import decomposition
+    from latticekit.order_index import shared_order_index
+
+    def refuse(*args):
+        raise AssertionError("a tree build walked covers or copied a subgraph")
+
+    graphs = [g for _, g0 in family_zoo for g in (g0, lk.flip(g0))]
+    # the simple join index claims from the downsets of an order index
+    # held before the patch: building one copies its blocks' subgraphs
+    held = [shared_order_index(g, ceil_sqrt(g.n)) for g in graphs]
+    for name in ("cover_decompose", "_induced"):
+        monkeypatch.setattr(decomposition, name, refuse)
+    for g, oi in zip(graphs, held):
+        lk.build_decomposition_tree(g)
+        assert lk.build_simple_join_index(g).order is oi
+
+
 def test_tree_small_lattice_single_leaf():
     # n below twice the degree parameter: root plus one leaf holding all
     g = lk.generate(lk.FamilySpec("boolean", 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import latticekit as lk
-from conftest import bit_members
+from conftest import bit_members, random_order
 from latticekit.metrics import ceil_sqrt
 
 
@@ -68,24 +68,6 @@ def assert_row_contract(g, ks):
             idx = lk.build_order_index(h, k=k)
             got = [list(row) for row in idx.header_meet]
             assert got == latest_common_lower_bounds(h, idx.bd), (h, k)
-
-
-def random_order(rng, n):
-    """A random order on n elements as its covering graph: each pair i < j
-    related with one random probability, closed transitively, then the ids
-    shuffled."""
-    p = rng.uniform(0.15, 0.5)
-    above = [0] * n
-    for i in reversed(range(n)):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                above[i] |= 1 << j | above[j]
-    label = rng.sample(range(n), n)
-    covers = [(label[i], label[j]) for i in range(n) for j in range(n)
-              if above[i] >> j & 1 and not any(above[i] >> w & 1 and above[w] >> j & 1
-                                               for w in range(n))]
-    return lk.parse_trg(f"lattice v1\n{n} {len(covers)}\n"
-                        + "".join(f"{u} {v}\n" for u, v in covers))
 
 
 def test_header_rows_are_latest_common_lower_bounds(small_lattices):
