@@ -36,9 +36,10 @@ and any path from x to a live node below it is live (an extracted node on
 the path would put the end node in E too).  So a node's live downset is
 itself plus the union of its children's, minus E: one bitset per thin
 node, OR-ed once along each in-edge, sizes every live downset
-(:func:`_extract_blocks`).  One such pass with nothing removed gives every
-downset inside a block, the residual or a residual subblock
-(:func:`_downsets_within`).
+(:func:`_extract_blocks`).  One such pass with nothing removed gives the
+downsets inside the blocks and the residual, or the residual subblocks
+(:func:`_downsets`); subblocks are read off the former by masking with
+the ranks not yet extracted (:func:`_subblocks`).
 
 The same bitsets split a block into chunks, so no build walks downward.
 When header x is taken, each element c it covers inside its block s still
@@ -51,10 +52,9 @@ the residual's under its top, from the one extraction loop that finds the
 blocks; the simple join index claims its chunks from its order index's
 local downsets.
 
-Extraction inside a subblock and downset passes run on the induced
-subgraph (:func:`_induced`); a tree reads each chunk's in-lists off the
-graph through two node-indexed lists, a tag and a rank, and the meet rows
-inside blocks and subblocks filter covers to their part
+No build copies an induced subgraph: downset passes and trees read
+in-lists off the graph through two node-indexed lists, a tag and a rank,
+and the meet rows inside blocks and subblocks filter covers to their part
 (:func:`~latticekit.order_index._meet_cells`).  Structural invariants
 raise :class:`~latticekit.trg.StructureError`, so they hold under
 ``python -O``.
@@ -76,21 +76,30 @@ def _induced(adj, universe: list[int]) -> list[list[int]]:
     return [[rank[w] for w in adj[x] if w in rank] for x in universe]
 
 
-def _downsets_within(in_nbrs, universe: list[int]) -> tuple[list[int], int]:
-    """The downset inside ``universe`` of each of its members, in member
-    order, as an ``int`` bitset over ranks in ``universe`` (bit r stands for
-    ``universe[r]``), plus the edge visits: one pass in member order,
-    ``down[r] = 1 << r | OR(down[c])`` over r's in-neighbours inside the
-    universe, each visited once.  ``universe`` must be in linear-extension
-    order, so every in-neighbour comes before the node it is under."""
-    local = _induced(in_nbrs, universe)
-    downs: list[int] = []
-    for r, nb in enumerate(local):
-        s = 1 << r
-        for c in nb:
-            s |= downs[c]
-        downs.append(s)
-    return downs, sum(map(len, local))
+def _downsets(in_nbrs, parts: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Node-indexed ``down`` and ``rank`` lists (0 outside the parts) and
+    the edge visits: ``down[x]`` is x's downset inside its part, an ``int``
+    bitset whose bit r stands for the part's r-th member.  ``parts`` are
+    disjoint and each in linear-extension order; each takes one pass,
+    ``down[x] = 1 << rank[x] | OR(down[c])`` over x's in-neighbours c
+    tagged with its part, each visited once."""
+    tag = [-1] * len(in_nbrs)
+    rank = [0] * len(in_nbrs)
+    for p, xs in enumerate(parts):
+        for r, x in enumerate(xs):
+            tag[x] = p
+            rank[x] = r
+    down = [0] * len(in_nbrs)
+    visits = 0
+    for p, xs in enumerate(parts):
+        for x in xs:
+            s = 1 << rank[x]
+            for c in in_nbrs[x]:
+                if tag[c] == p:
+                    s |= down[c]
+                    visits += 1
+            down[x] = s
+    return down, rank, visits
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -210,18 +219,6 @@ def _claim(s: int, h: int, downs, ids: list) -> list[tuple[int, list]]:
     return chunks
 
 
-def _extract_within(in_nbrs, members: list[int], k: int):
-    """:func:`_extract_blocks` on the subgraph induced on ``members`` (in
-    linear-extension order), visited in their stored order; the results are
-    node ids again, each list in that order."""
-    blocks, headers, residual, visits = _extract_blocks(
-        _induced(in_nbrs, members), range(len(members)), k
-    )
-    ids = members.__getitem__
-    return ([list(map(ids, b)) for b in blocks], list(map(ids, headers)),
-            list(map(ids, residual)), visits)
-
-
 @dataclass
 class BlockDecomposition:
     """Partition of the lattice into principal blocks plus a residual.
@@ -286,7 +283,6 @@ class SubblockEntry:
     subblocks: list[list[int]]
     subheaders: list[int]
     residual: list[int]
-    edge_visits: int = 0
 
     @property
     def count(self) -> int:
@@ -298,27 +294,40 @@ def subblock_decompose(g: TRG, bd: BlockDecomposition, i: int) -> SubblockEntry:
 
     The block is interval-closed in the lattice, so the induced subgraph of
     the TRG is exactly the covering relation of the block's own order and
-    the same extraction procedure applies unchanged, visiting the members
-    in their stored order.  A header not last raises :class:`StructureError`.
+    the same extraction applies unchanged, visiting the members in their
+    stored order: :func:`_subblocks` on one :func:`_downsets` pass over the
+    block.  A header not last raises :class:`StructureError`.
     """
     if not 0 <= i < bd.m:
         raise ValueError(f"block index {i} is not principal")
     blk = bd.blocks[i]
-    if blk[-1] != bd.headers[i]:
+    down, _, _ = _downsets(g.in_neighbours, [blk])
+    return _subblocks(i, blk, bd.headers[i], down)
+
+
+def _subblocks(i: int, blk: list[int], header: int, down) -> SubblockEntry:
+    """The subblocks of block i, ``blk``, from ``down``, each member's
+    downset inside the block (node-indexed, over ranks in ``blk``).  The
+    extracted set stays down-closed, so a live downset is a downset masked
+    with ``live``, the ranks not yet extracted; a member whose live downset
+    reaches r bits heads the next subblock.  No edge is visited."""
+    if blk[-1] != header:
         raise StructureError(f"block {i} does not end with its header")
-    members = blk[:-1]
     r = ceil_sqrt(len(blk))
-    subblocks, subheaders, residual, visits = _extract_within(
-        g.in_neighbours, members, r
-    )
-    if sum(map(len, subblocks)) + len(residual) != len(members):
+    live = (1 << len(blk) - 1) - 1  # every rank but the header's
+    subblocks: list[list[int]] = []
+    subheaders: list[int] = []
+    for x in blk[:-1]:
+        s = down[x] & live
+        if s.bit_count() >= r:
+            subblocks.append(_bit_ids(s, blk))
+            subheaders.append(x)
+            live ^= s
+    residual = _bit_ids(live, blk)
+    if sum(map(len, subblocks)) + len(residual) != len(blk) - 1:
         raise StructureError(f"subblocks of block {i} do not partition it")
-    if any(len(s) < r for s in subblocks):
-        raise StructureError(f"subblock of block {i} below size floor")
-    return SubblockEntry(
-        block_index=i, r=r, subblocks=subblocks, subheaders=subheaders,
-        residual=residual, edge_visits=visits,
-    )
+    return SubblockEntry(block_index=i, r=r, subblocks=subblocks,
+                         subheaders=subheaders, residual=residual)
 
 
 def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]:

@@ -23,14 +23,15 @@ empty set means the meet does not exist.  The in-block subroutine repeats
 the same shape one level down, using the pair tables for same-subblock
 hits.
 
-Subheader rows and pair tables come from the order index's header-row
-dynamic program (:func:`~latticekit.order_index._meet_cells`), batched
-across every block (a block's subheaders its heads) and across every
-subblock (all its members heads, so a group of 64 fills one slice of each
-table); residual downsets come from a downset pass over each residual
-subblock.  Blocks and subblocks partition the nodes, so node-indexed
-arrays give each element's rank in its block (the order index's
-``rank``), its subblock, and its rank there.
+Subblocks are read off the order index's local downsets.  Subheader rows
+and pair tables come from its header-row dynamic program
+(:func:`~latticekit.order_index._meet_cells`), batched across every block
+(a block's subheaders its heads) and across every subblock (all its
+members heads, so a group of 64 fills one slice of each table); residual
+downsets come from one downset pass over all residual subblocks.  Blocks
+and subblocks partition the nodes, so node-indexed arrays give each
+element's rank in its block (the order index's ``rank``), its subblock,
+and its rank there.
 
 Joins run the same algorithm against a second copy of everything built on
 the flipped graph.
@@ -51,7 +52,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import replace
 
-from .decomposition import _bit_ids, _downsets_within, subblock_decompose
+from .decomposition import _bit_ids, _downsets, _subblocks
 from .metrics import QueryStats, SpaceReport, ceil_pow
 from .order_index import OrderIndex, _meet_cells, _typecode, shared_order_index
 from .trg import TRG, NodeIdError, flip
@@ -218,24 +219,21 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     bd = oi.bd
     visits = oi.build_edge_visits
     blank = array(_typecode(n), [n])
-    sub_rank = [0] * n
-    sub_of = [-2] * (n + 1)
 
-    entries = [subblock_decompose(g, bd, i) for i in range(bd.m)]
+    entries = [_subblocks(i, blk, h, oi.down)
+               for i, (blk, h) in enumerate(zip(bd.blocks, bd.headers))]
     sub_sizes = [[len(sub) for sub in entry.subblocks] for entry in entries]
     sub_residuals = [entry.residual for entry in entries]
-    residual_downsets: list[list[int]] = []
+    downs, sub_rank, v = _downsets(g.in_neighbours, sub_residuals)
+    visits += v
+    residual_downsets = [[downs[x] for x in res] for res in sub_residuals]
+    sub_of = [-2] * (n + 1)
     for entry in entries:
-        visits += entry.edge_visits
         for j, sub in enumerate(entry.subblocks):
             for r, x in enumerate(sub):
                 sub_rank[x] = r
                 sub_of[x] = j
-        downs, v = _downsets_within(g.in_neighbours, entry.residual)
-        visits += v
-        residual_downsets.append(downs)
-        for r, x in enumerate(entry.residual):
-            sub_rank[x] = r
+        for x in entry.residual:
             sub_of[x] = -1
 
     # subheader rows: the blocks are the parts, their subheaders the heads

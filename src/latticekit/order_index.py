@@ -14,8 +14,8 @@ Rows hold 2-byte ids while the null id n fits (n <= 65535), 4-byte ids
 beyond (:func:`_typecode`).  Every row owns its buffer, so a
 ``sys.getsizeof`` walk sees the bytes the index holds.
 
-Local downsets come from one OR pass over each block and the residual
-(:func:`~latticekit.decomposition._downsets_within`), header rows from
+Local downsets come from one OR pass over the blocks and the residual
+(:func:`~latticekit.decomposition._downsets`), header rows from
 :func:`_meet_cells`, a dynamic program over the levels of the graph,
 batched across all heads in numpy, with the whole graph as its one part.
 Row i holds, at z, the latest element of Down(h_i) ∩ Down(z) in block
@@ -48,7 +48,7 @@ from itertools import chain
 
 import numpy as np
 
-from .decomposition import BlockDecomposition, _downsets_within, block_decompose
+from .decomposition import BlockDecomposition, _downsets, block_decompose
 from .metrics import QueryStats, SpaceReport, ceil_sqrt
 from .trg import TRG, NodeIdError, StructureError
 
@@ -284,18 +284,9 @@ def build_order_index(g: TRG, bd: BlockDecomposition | None = None,
     elif k is not None and k != bd.k:
         raise ValueError(f"block size k={k} conflicts with the block decomposition's"
                          f" k={bd.k}")
-    visits = bd.edge_visits
-    down = [0] * g.n
-    rank = [0] * g.n
-    for universe in bd.blocks + [bd.residual]:
-        downs, v = _downsets_within(g.in_neighbours, universe)
-        visits += v
-        for r, (x, local) in enumerate(zip(universe, downs)):
-            down[x] = local
-            rank[x] = r
-
-    header_meet, v = _header_rows(g, bd)
-    visits += v
+    down, rank, v = _downsets(g.in_neighbours, bd.blocks + [bd.residual])
+    header_meet, w = _header_rows(g, bd)
+    visits = bd.edge_visits + v + w
 
     headers = set(bd.headers)
     for x in range(g.n):

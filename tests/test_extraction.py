@@ -51,14 +51,9 @@ def block_sizes(n):
 
 
 def decompositions(g):
-    """Every block and subblock decomposition the package derives from g."""
-    out = []
-    for k in block_sizes(g.n):
-        bd = lk.block_decompose(g, k)
-        subs = [lk.subblock_decompose(g, bd, i) for i in range(bd.m)]
-        out.append((k, bd.blocks, bd.headers, bd.residual,
-                    [(e.subblocks, e.subheaders, e.residual) for e in subs]))
-    return out
+    """Every block decomposition the package derives from g."""
+    return [(k, bd.blocks, bd.headers, bd.residual)
+            for k in block_sizes(g.n) for bd in [lk.block_decompose(g, k)]]
 
 
 def lattices(family_zoo, small_lattices):
@@ -81,6 +76,42 @@ def induced(g, members):
     """The in-lists of the subgraph of g induced on ``members``, by rank."""
     rank = {x: r for r, x in enumerate(members)}
     return [[rank[w] for w in g.in_neighbours[x] if w in rank] for x in members]
+
+
+def reference_subblocks(g, blk):
+    """The subblocks, subheaders and residual of block ``blk`` (ending with
+    its header) by :func:`walk_extract` on the subgraph induced on the
+    other members, block size ceil(sqrt |blk|)."""
+    members = blk[:-1]
+    blocks, headers, residual, _ = walk_extract(
+        induced(g, members), range(len(members)), ceil_sqrt(len(blk)), members)
+    return blocks, headers, residual
+
+
+def test_subblocks_match_walk_reference(family_zoo, small_lattices):
+    # subblocks are read off downset bitsets, both by the public
+    # subblock_decompose and inside the meet index; hold both to the walk
+    rng = random.Random(11)
+    graphs = list(lattices(family_zoo, small_lattices))
+    graphs += [random_order(rng, rng.randint(4, 40)) for _ in range(300)]
+    for g in graphs:
+        for k in block_sizes(g.n):
+            idx = lk.build_meet_index(g, with_dual=False, k=k)
+            bd = idx.bd
+            want_of = [-2] * (g.n + 1)
+            want_rank = [0] * g.n
+            for i, blk in enumerate(bd.blocks):
+                subs, heads, residual = reference_subblocks(g, blk)
+                e = lk.subblock_decompose(g, bd, i)
+                assert (e.subblocks, e.subheaders, e.residual) == (subs, heads, residual)
+                assert idx.sub_sizes[i] == list(map(len, subs))
+                assert idx.sub_residuals[i] == residual
+                for j, part in [*enumerate(subs), (-1, residual)]:
+                    for r, x in enumerate(part):
+                        want_of[x] = j
+                        want_rank[x] = r
+            assert idx.sub_of == want_of
+            assert idx.sub_rank == want_rank
 
 
 def reference_tree(g, simple=False):

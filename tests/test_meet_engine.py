@@ -148,6 +148,32 @@ def test_in_block_rows_across_the_64_head_seam():
             assert list(table) == expected.ravel().tolist(), (i, j)
 
 
+@pytest.mark.parametrize("c_exp", [0.5, 0.75, 1.0])
+def test_meet_builds_copy_no_subgraph(monkeypatch, family_zoo, c_exp):
+    # subblocks come from the order index's bitsets and downsets from one
+    # pass per kind: a build extracts once per direction, its blocks only
+    from latticekit import decomposition
+
+    def refuse(*args):
+        raise AssertionError("a meet build copied an induced subgraph")
+
+    calls = []
+    extract = decomposition._extract_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_induced", refuse)
+    monkeypatch.setattr(decomposition, "_extract_blocks", counted)
+    for spec, _ in family_zoo:
+        g0 = lk.generate(spec)  # a fresh graph holds no order index yet
+        for g in (g0, lk.flip(g0)):
+            calls.clear()
+            lk.build_meet_index(g, c_exp)
+            assert len(calls) == 2, (spec, calls)
+
+
 def test_c_out_of_range():
     g = lk.generate(lk.FamilySpec("chain", 4))
     with pytest.raises(ValueError):

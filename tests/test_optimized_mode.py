@@ -10,7 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the header 2 covers 1, which lies outside the member set {0, 2}, so the
 # cover decomposition cannot partition it.  In the flip of the second graph
 # node 4 covers 2 and, through the redundant edge 4 3, also 3, which lies
-# below 2, so both join indexes' chunk claims must refuse it
+# below 2, so both join indexes' chunk claims must refuse it.  A block
+# reversed so that its header comes first has no subblock decomposition
 SCRIPT = """
 import sys
 import latticekit as lk
@@ -22,6 +23,15 @@ except lk.StructureError:
     pass
 else:
     sys.exit("cover_decompose(chain(3), [0, 2], 2) did not raise StructureError")
+g = lk.generate(lk.FamilySpec("chain", 9))
+bd = lk.block_decompose(g, 3)
+bd.blocks[0].reverse()  # [2, 1, 0]: header 2 first
+try:
+    lk.subblock_decompose(g, bd, 0)
+except lk.StructureError:
+    pass
+else:
+    sys.exit("subblock_decompose on a block not ending with its header did not raise")
 g = lk.flip(lk.parse_trg("lattice v1\\n5 6\\n0 3\\n1 2\\n1 4\\n2 3\\n4 2\\n4 3\\n"))
 for build in (lk.build_decomposition_tree, lk.build_simple_join_index):
     try:
