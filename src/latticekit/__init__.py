@@ -14,10 +14,7 @@ from .decomposition import (
     SubblockEntry,
     block_decompose,
     build_decomposition_tree,
-    cover_decompose,
-    dump_blocks,
     subblock_decompose,
-    verify_block_decomposition,
 )
 from .degree_index import (
     DegreeStats,
@@ -45,7 +42,6 @@ from .oracle import (
     is_partial_lattice,
     oracle_join,
     oracle_meet,
-    sublattice_violation,
     transitive_closure,
 )
 from .order_index import OrderIndex, build_order_index
@@ -76,11 +72,9 @@ __all__ = [
     "flip", "with_top", "validate_reduction",
     "ClosureMatrix", "LatticeViolation", "NotALatticeError",
     "transitive_closure", "oracle_meet", "oracle_join", "is_partial_lattice",
-    "sublattice_violation",
     "BlockDecomposition", "SubblockEntry",
     "DecompositionTree", "block_decompose", "subblock_decompose",
-    "cover_decompose", "build_decomposition_tree", "dump_blocks",
-    "verify_block_decomposition",
+    "build_decomposition_tree",
     "OrderIndex", "build_order_index",
     "MeetIndex", "build_meet_index",
     "DegreeStats", "SimpleJoinIndex", "RecursiveJoinIndex", "max_degree",

@@ -37,20 +37,21 @@ the path would put the end node in E too).  So a node's live downset is
 itself plus the union of its children's, minus E: one bitset per thin
 node, OR-ed once along each in-edge, sizes every live downset
 (:func:`_extract_blocks`).  One such pass with nothing removed gives the
-downsets inside the blocks and the residual, or the residual subblocks
-(:func:`_downsets`); subblocks are read off the former by masking with
-the ranks not yet extracted (:func:`_subblocks`).
+downsets inside the blocks and the residual (:func:`_downsets`), and
+subblocks are read off them by masking with the ranks not yet extracted
+(:func:`_subblocks`).  What is left, the residual subblock, is up-closed
+in its block, so the same masking gives its members' downsets in it.
 
 The same bitsets split a block into chunks, so no build walks downward.
 When header x is taken, each element c it covers inside its block s still
 holds its bitset, a superset of Down(c) inside s, and the chunk of c is
 that bitset masked with s, minus the chunks of the earlier covers
 (:func:`_claim`): everything below an earlier chunk's members is in it,
-so this is exactly what :func:`cover_decompose`, the public walk kept as
-the reference, returns.  Decomposition trees claim every block's chunks,
-the residual's under its top, from the one extraction loop that finds the
-blocks; the simple join index claims its chunks from its order index's
-local downsets.
+so this is exactly what a walk down from c through unclaimed nodes
+returns, the reference the tests hold the claims to.  Decomposition
+trees claim every block's chunks, the residual's under its top, from the
+one extraction loop that finds the blocks; the simple join index claims
+its chunks from its order index's local downsets.
 
 No build copies an induced subgraph: downset passes and trees read
 in-lists off the graph through two node-indexed lists, a tag and a rank,
@@ -66,14 +67,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .metrics import ceil_log, ceil_sqrt
-from .trg import TRG, StructureError, downset, linear_extension, with_top
-
-
-def _induced(adj, universe: list[int]) -> list[list[int]]:
-    """``adj`` restricted to the nodes of ``universe``, each renumbered to its
-    rank in that list.  Neighbour lists keep the order of ``adj``'s."""
-    rank = {x: r for r, x in enumerate(universe)}
-    return [[rank[w] for w in adj[x] if w in rank] for x in universe]
+from .trg import TRG, StructureError, linear_extension, with_top
 
 
 def _downsets(in_nbrs, parts: list[list[int]]) -> tuple[list[int], list[int], int]:
@@ -195,8 +189,8 @@ def _claim(s: int, h: int, downs, ids: list) -> list[tuple[int, list]]:
     is its header, from ``downs``, the downsets inside ``s`` of the
     header's covered children in ascending id order, each with the child
     itself as its highest bit, or 0 for a child outside ``s``.  Each child
-    takes its downset minus the earlier chunks, which is what
-    :func:`cover_decompose`'s walk takes, since the earlier chunks hold
+    takes its downset minus the earlier chunks, which is what a walk down
+    through unclaimed nodes takes, since the earlier chunks hold
     everything below them; each chunk maps back through ``ids`` in bit
     order.  A child inside an earlier chunk, or a block the chunks and the
     header do not partition, raises :class:`StructureError`.  ``claimed``
@@ -248,9 +242,8 @@ def block_decompose(g: TRG, k: int) -> BlockDecomposition:
     Deterministic: nodes are visited in the canonical linear extension, so
     the first fat node found becomes the next header.  Cheap structural
     checks (partition, size floor, block count) run on every build and
-    raise :class:`StructureError`; the costlier thinness and per-block
-    lattice checks live in the order index build and
-    :func:`verify_block_decomposition`.
+    raise :class:`StructureError`; the costlier thinness check lives in
+    the order index build.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"block size {k} outside [1, {g.n}]")
@@ -283,6 +276,7 @@ class SubblockEntry:
     subblocks: list[list[int]]
     subheaders: list[int]
     residual: list[int]
+    residual_mask: int  # the residual's ranks in the block
 
     @property
     def count(self) -> int:
@@ -327,44 +321,8 @@ def _subblocks(i: int, blk: list[int], header: int, down) -> SubblockEntry:
     if sum(map(len, subblocks)) + len(residual) != len(blk) - 1:
         raise StructureError(f"subblocks of block {i} do not partition it")
     return SubblockEntry(block_index=i, r=r, subblocks=subblocks,
-                         subheaders=subheaders, residual=residual)
-
-
-def cover_decompose(g: TRG, members, header: int) -> list[tuple[int, list[int]]]:
-    """Partition ``members`` minus its top ``header`` by the header's covered
-    children, ascending id: each child takes whatever of its downset inside
-    ``members`` is not claimed by an earlier child.  Each chunk lists its
-    members in their order in ``members``, which may be any order
-    (linear-extension order for blocks and chunks, so a chunk ends with its
-    header).
-
-    ``members`` must be interval-closed with top ``header`` (true for blocks
-    and chunks), which makes a downward walk through unclaimed nodes
-    compute exactly the stated set difference.  This walk is the public
-    form of the split and the reference tests hold the builds to: no build
-    calls it, since trees and the simple join index claim the same chunks
-    from bitsets (:func:`_claim`).
-    """
-    h = members.index(header)  # ValueError when the header is no member
-    in_nbrs = _induced(g.in_neighbours, members)
-    claimed = [False] * len(members)
-    claimed[h] = True  # the header and every claimed node stay closed
-    chunks: list[tuple[int, list[int]]] = []
-    for c in in_nbrs[h]:
-        if claimed[c]:
-            raise StructureError("cover children must be pairwise incomparable")
-        claimed[c] = True
-        chunk = [c]
-        for y in chunk:  # grows while read: a breadth-first walk
-            for w in in_nbrs[y]:
-                if not claimed[w]:
-                    claimed[w] = True
-                    chunk.append(w)
-        chunk.sort()
-        chunks.append((members[c], [members[w] for w in chunk]))
-    if not all(claimed):
-        raise StructureError("cover decomposition failed to partition the block")
-    return chunks
+                         subheaders=subheaders, residual=residual,
+                         residual_mask=live)
 
 
 @dataclass
@@ -547,76 +505,3 @@ def _grow_tree(g2: TRG, top: int, added: bool, d: int, parts,
         graph=g2, root=root, d=d, top=top, virtual_top=added, n=g2.n,
         node_count=nodes, leaf_cells=leaf_cells, depth=deepest,
     )
-
-
-def verify_block_decomposition(g: TRG, bd: BlockDecomposition,
-                               closure=None) -> None:
-    """Check the full decomposition contract (partition, size floor, header
-    on top, thinness, per-block lattice property), raising
-    :class:`StructureError` at the first breach.
-
-    Costs a closure build plus a pair scan per block, so it is meant for
-    tests and one-off validation rather than the build path; the builders
-    themselves check the cheap structural parts.
-    """
-    from .oracle import ClosureMatrix, sublattice_violation
-
-    c = closure or ClosureMatrix(g)
-    seen: set[int] = set()
-    for i, blk in enumerate(bd.blocks):
-        h = bd.headers[i]
-        if len(blk) < bd.k:
-            raise StructureError(f"block {i} below size floor {bd.k}")
-        if h not in blk:
-            raise StructureError(f"block {i} lacks its header {h}")
-        members = set(blk)
-        if members & seen:
-            raise StructureError(f"block {i} overlaps an earlier block")
-        seen |= members
-        for x in blk:
-            if not c.leq(x, h):
-                raise StructureError(f"block {i} member {x} not under header {h}")
-            if x != h and len(downset(g, x, restrict=members)) >= bd.k:
-                raise StructureError(f"member {x} of block {i} is not thin")
-        if sublattice_violation(c, blk) is not None:
-            raise StructureError(f"block {i} is not a lattice")
-    res = set(bd.residual)
-    if res & seen:
-        raise StructureError("residual overlaps a principal block")
-    if seen | res != set(range(g.n)):
-        raise StructureError("blocks and residual do not cover the node set")
-    for x in bd.residual:
-        if len(downset(g, x, restrict=res)) >= bd.k:
-            raise StructureError(f"residual member {x} is not thin")
-    if bd.residual and sublattice_violation(c, bd.residual) is not None:
-        raise StructureError("the residual is not a lattice")
-
-
-def dump_blocks(bd: BlockDecomposition,
-                subs: list[SubblockEntry] | None = None,
-                chunks: dict[int, list[tuple[int, list[int]]]] | None = None) -> str:
-    """Debug dump: one line per block, subblock, and chunk, each listing its
-    header and member ids.  ``chunks`` maps a block index to that block's
-    cover decomposition."""
-    lines = []
-    for i, blk in enumerate(bd.blocks):
-        lines.append(f"block {i} header {bd.headers[i]}: {' '.join(map(str, blk))}")
-    lines.append(f"residual: {' '.join(map(str, bd.residual))}")
-    if subs:
-        for entry in subs:
-            for j, sub in enumerate(entry.subblocks):
-                lines.append(
-                    f"block {entry.block_index} subblock {j} header "
-                    f"{entry.subheaders[j]}: {' '.join(map(str, sub))}"
-                )
-            lines.append(
-                f"block {entry.block_index} subresidual: "
-                f"{' '.join(map(str, entry.residual))}"
-            )
-    if chunks:
-        for i in sorted(chunks):
-            for c, members in chunks[i]:
-                lines.append(
-                    f"block {i} chunk header {c}: {' '.join(map(str, members))}"
-                )
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Meet and join queries via a two-level block/subblock decomposition.
 
 On top of the order-testing structure, each principal block gets a
-subblock decomposition (size sqrt of the block length) and three stores:
+subblock decomposition (size sqrt of the block length), two stores and a
+mask:
 
 * per subblock header, a typed row (``array.array``, the order index's
   typecode) of its meets with every block member, indexed by rank in
@@ -10,8 +11,10 @@ subblock decomposition (size sqrt of the block length) and three stores:
   the meet of every member pair, the pair of ranks (rx, ry) at
   ``rx * s + ry``, null whenever that meet falls outside the subblock,
   and
-* per residual-subblock member, its downset inside the residual subblock
-  as an ``int`` bitset over ranks in that subblock.
+* per block, the ranks of its residual subblock as one ``int`` mask.
+  Subblock extraction takes down-closed sets, so the residual subblock is
+  up-closed in the block, and a member's downset inside it is the member's
+  local downset (the order index's ``down``) masked with it.
 
 A meet query collects candidate lower bounds: every principal block
 contributes the in-block meet of the two representatives (when both
@@ -27,8 +30,7 @@ Subblocks are read off the order index's local downsets.  Subheader rows
 and pair tables come from its header-row dynamic program
 (:func:`~latticekit.order_index._meet_cells`), batched across every block
 (a block's subheaders its heads) and across every subblock (all its
-members heads, so a group of 64 fills one slice of each table); residual
-downsets come from one downset pass over all residual subblocks.  Blocks
+members heads, so a group of 64 fills one slice of each table).  Blocks
 and subblocks partition the nodes, so node-indexed arrays give each
 element's rank in its block (the order index's ``rank``), its subblock,
 and its rank there.
@@ -52,7 +54,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import replace
 
-from .decomposition import _bit_ids, _downsets, _subblocks
+from .decomposition import _bit_ids, _subblocks
 from .metrics import QueryStats, SpaceReport, ceil_pow
 from .order_index import OrderIndex, _meet_cells, _typecode, shared_order_index
 from .trg import TRG, NodeIdError, flip
@@ -62,10 +64,9 @@ class MeetIndex:
     """Two-level meet/join structure; built by :func:`build_meet_index`."""
 
     def __init__(self, g: TRG, c: float, order: OrderIndex,
-                 sub_sizes: list[list[int]], sub_residuals: list[list[int]],
+                 sub_sizes: list[list[int]], residual_masks: list[int],
                  subheader_meet: list[list[array]],
                  pair_tables: list[list[array]],
-                 residual_downsets: list[list[int]],
                  sub_rank: list[int], sub_of: list[int],
                  build_edge_visits: int):
         self.c = c
@@ -73,12 +74,12 @@ class MeetIndex:
         self.null = g.n
         self.order = order
         self.bd = order.bd
-        # per block: its subblocks' sizes and its residual subblock
+        # per block: its subblocks' sizes and the ranks of its residual
+        # subblock, a mask over ranks in the block
         self.sub_sizes = sub_sizes
-        self.sub_residuals = sub_residuals
+        self.residual_masks = residual_masks
         self.subheader_meet = subheader_meet
         self.pair_tables = pair_tables
-        self.residual_downsets = residual_downsets
         # sub_of: subblock index within the block, -1 for the residual
         # subblock, -2 for headers, the residual block and the null id n;
         # sub_rank: rank in the subblock or residual subblock
@@ -153,8 +154,8 @@ class MeetIndex:
             if z != self.null:
                 candidates.append(z)
         if sub_of[xi] == -1 and sub_of[yi] == -1:
-            for z in _bit_ids(self.residual_downsets[i][sub_rank[xi]],
-                              self.sub_residuals[i]):
+            for z in _bit_ids(self.order.down[xi] & self.residual_masks[i],
+                              self.bd.blocks[i]):
                 if stats is not None:
                     stats.scanned_elements += 1
                 if self.order.test_order(z, yi, stats):
@@ -185,6 +186,7 @@ class MeetIndex:
     # -- accounting ------------------------------------------------------
 
     def _space_counts(self) -> SpaceReport:
+        down = self.order.down
         own = replace(
             self.order._space_counts(),
             c=self.c,
@@ -192,8 +194,11 @@ class MeetIndex:
                                      for row in rows),
             pair_table_cells=sum(map(self.pair_table_cells_of_block,
                                      range(len(self.pair_tables)))),
-            residual_list_cells=sum(d.bit_count() for ds in self.residual_downsets
-                                    for d in ds),
+            # derived, not stored: local downsets masked with the residuals
+            residual_list_cells=sum((down[x] & mask).bit_count()
+                                    for mask, blk in zip(self.residual_masks,
+                                                         self.bd.blocks)
+                                    for x in _bit_ids(mask, blk)),
         )
         return own if self.dual is None else own.merged(self.dual._space_counts())
 
@@ -223,18 +228,13 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
     entries = [_subblocks(i, blk, h, oi.down)
                for i, (blk, h) in enumerate(zip(bd.blocks, bd.headers))]
     sub_sizes = [[len(sub) for sub in entry.subblocks] for entry in entries]
-    sub_residuals = [entry.residual for entry in entries]
-    downs, sub_rank, v = _downsets(g.in_neighbours, sub_residuals)
-    visits += v
-    residual_downsets = [[downs[x] for x in res] for res in sub_residuals]
+    sub_rank = [0] * n
     sub_of = [-2] * (n + 1)
     for entry in entries:
-        for j, sub in enumerate(entry.subblocks):
-            for r, x in enumerate(sub):
+        for j, part in [*enumerate(entry.subblocks), (-1, entry.residual)]:
+            for r, x in enumerate(part):
                 sub_rank[x] = r
                 sub_of[x] = j
-        for x in entry.residual:
-            sub_of[x] = -1
 
     # subheader rows: the blocks are the parts, their subheaders the heads
     subheader_meet: list[list[array]] = [[] for _ in entries]
@@ -260,8 +260,8 @@ def build_meet_index(g: TRG, c: float = 0.5, *, with_dual: bool = True,
                 rows = cells[:s - lo].take(sub, axis=1)
                 memoryview(table)[lo * s:lo * s + rows.size] = rows.ravel()
 
-    idx = MeetIndex(g, c, oi, sub_sizes, sub_residuals, subheader_meet, pair_tables,
-                    residual_downsets, sub_rank, sub_of, visits)
+    idx = MeetIndex(g, c, oi, sub_sizes, [e.residual_mask for e in entries],
+                    subheader_meet, pair_tables, sub_rank, sub_of, visits)
     if with_dual:
         idx.dual = build_meet_index(flip(g), c, with_dual=False, k=k)
     return idx

@@ -1,7 +1,9 @@
 """Space accounting, per-query probe counters, and log-log scaling fits.
 
-Space is measured in stored entries, not bytes: every typed-array cell,
-set bit of a downset bitset, tree node and leaf cell counts as one.
+Space is measured in entries, not bytes: every typed-array cell, set bit
+of a downset bitset, tree node and leaf cell counts as one.  The
+residual-subblock downsets count their set bits too, though they are
+derived from the local downsets, not stored.
 Wall-clock time is reported by the benchmark driver but is never part of
 any pass/fail decision; probe counts are the portable time surrogate.
 """
@@ -66,7 +68,8 @@ class SpaceReport:
     down_entries: int = 0           # set bits of the local-downset bitsets
     subheader_meet_cells: int = 0   # per-subheader typed rows over their block
     pair_table_cells: int = 0       # per-subblock typed meet tables
-    residual_list_cells: int = 0    # set bits of the residual-subblock downsets
+    residual_list_cells: int = 0    # residual-subblock downsets' set bits:
+                                    # derived, not stored
     tree_nodes: int = 0
     leaf_cells: int = 0
 

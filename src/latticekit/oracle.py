@@ -167,38 +167,3 @@ def _smallest_upper_witness(c: ClosureMatrix, a: int, b: int, s: int) -> Lattice
                 return LatticeViolation(a, b, y1, y2)
     raise AssertionError("violation vanished during witness search")
 
-
-def sublattice_violation(c: ClosureMatrix, members) -> tuple[int, int, int, int] | None:
-    """Lattice-property check for the sub-poset induced on ``members``.
-
-    Bounds are taken within the member set only.  Returns some violating
-    quadruple (x1, x2, y1, y2) or None; the search order is deterministic
-    but no lexicographic minimality is promised.
-    """
-    mask = 0
-    for x in members:
-        mask |= 1 << c.position[x]
-    ids = sorted(members)
-    up = c.up_masks
-    down = c.down_masks
-    order = c.order
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            for masks, pick_end in ((up, False), (down, True)):
-                s = masks[a] & masks[b] & mask
-                if not s:
-                    continue
-                if pick_end:
-                    z = order[s.bit_length() - 1]
-                else:
-                    z = order[(s & -s).bit_length() - 1]
-                rest = s & ~masks[z]
-                if rest:
-                    if pick_end:
-                        w = order[rest.bit_length() - 1]
-                    else:
-                        w = order[(rest & -rest).bit_length() - 1]
-                    if pick_end:
-                        return (z, w, a, b)
-                    return (a, b, z, w)
-    return None

@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
+import random
+
 import pytest
 
 import latticekit as lk
+from latticekit.metrics import ceil_sqrt
 
 DIAMOND_TEXT = "lattice v1\n4 4\n0 1\n0 2\n1 3\n2 3\n"
 
@@ -40,12 +45,30 @@ def family_zoo():
 
 
 @pytest.fixture(scope="session")
+def random_orders():
+    """300 random orders on 4 to 40 elements (:func:`random_order`), most of
+    them not lattices."""
+    rng = random.Random(11)
+    return [random_order(rng, rng.randint(4, 40)) for _ in range(300)]
+
+
+@pytest.fixture(scope="session")
 def small_lattices():
     """Every partial lattice on up to 5 elements (natural labelling)."""
     out = []
     for n in range(1, 6):
         out.extend(lk.enumerate_small_lattices(n))
     return out
+
+
+def package_modules() -> list:
+    """The latticekit package and every module in it, imported."""
+    return [lk] + [importlib.import_module(f"latticekit.{m.name}")
+                   for m in pkgutil.iter_modules(lk.__path__)]
+
+
+def block_sizes(n):
+    return sorted({1, min(2, n), ceil_sqrt(n), -(-n // 2), n})
 
 
 def bit_members(bits: int, universe) -> set:

@@ -2,10 +2,10 @@
 references.
 
 The package sizes live downsets with bitsets and claims cover chunks from
-them; the references below size them by walking every live downset, which
-is the definition, and split blocks by :func:`latticekit.cover_decompose`'s
-walk.  Block and subblock decompositions, and the trees of both join
-indexes, must be identical.
+them; the references (``reference_walks``) size them by walking every live
+downset, which is the definition, and split blocks by a cover walk.  Block
+and subblock decompositions, and the trees of both join indexes, must be
+identical.
 """
 
 import random
@@ -14,40 +14,10 @@ import pytest
 
 import latticekit as lk
 from latticekit import decomposition
+from latticekit.decomposition import _bit_ids
 from latticekit.metrics import ceil_sqrt
-from conftest import random_order, tree_nodes
-
-
-def walk_extract(in_nbrs, visit_order, k, ids=None):
-    """Reference extraction: walk each live node's live downset; a walk of
-    at least k nodes makes the node a header and removes its downset.
-    ``ids`` names the nodes in visit order, as the package's does."""
-    gone = set()
-    blocks, headers = [], []
-    for x in visit_order:
-        if x in gone:
-            continue
-        seen = {x}
-        stack = [x]
-        while stack:
-            for w in in_nbrs[stack.pop()]:
-                if w not in seen and w not in gone:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) >= k:
-            gone |= seen
-            blocks.append([w for w in visit_order if w in seen])
-            headers.append(x)
-    residual = [x for x in visit_order if x not in gone]
-    if ids is not None:
-        name = dict(zip(visit_order, ids)).__getitem__
-        blocks = [list(map(name, b)) for b in blocks]
-        headers, residual = list(map(name, headers)), list(map(name, residual))
-    return blocks, headers, residual, 0
-
-
-def block_sizes(n):
-    return sorted({1, min(2, n), ceil_sqrt(n), -(-n // 2), n})
+from conftest import block_sizes, random_order, tree_nodes
+from reference_walks import reference_subblocks, reference_tree, walk_extract
 
 
 def decompositions(g):
@@ -72,28 +42,10 @@ def test_extraction_matches_walk_reference(family_zoo, small_lattices):
         assert got == want
 
 
-def induced(g, members):
-    """The in-lists of the subgraph of g induced on ``members``, by rank."""
-    rank = {x: r for r, x in enumerate(members)}
-    return [[rank[w] for w in g.in_neighbours[x] if w in rank] for x in members]
-
-
-def reference_subblocks(g, blk):
-    """The subblocks, subheaders and residual of block ``blk`` (ending with
-    its header) by :func:`walk_extract` on the subgraph induced on the
-    other members, block size ceil(sqrt |blk|)."""
-    members = blk[:-1]
-    blocks, headers, residual, _ = walk_extract(
-        induced(g, members), range(len(members)), ceil_sqrt(len(blk)), members)
-    return blocks, headers, residual
-
-
-def test_subblocks_match_walk_reference(family_zoo, small_lattices):
+def test_subblocks_match_walk_reference(family_zoo, small_lattices, random_orders):
     # subblocks are read off downset bitsets, both by the public
     # subblock_decompose and inside the meet index; hold both to the walk
-    rng = random.Random(11)
-    graphs = list(lattices(family_zoo, small_lattices))
-    graphs += [random_order(rng, rng.randint(4, 40)) for _ in range(300)]
+    graphs = list(lattices(family_zoo, small_lattices)) + random_orders
     for g in graphs:
         for k in block_sizes(g.n):
             idx = lk.build_meet_index(g, with_dual=False, k=k)
@@ -105,59 +57,13 @@ def test_subblocks_match_walk_reference(family_zoo, small_lattices):
                 e = lk.subblock_decompose(g, bd, i)
                 assert (e.subblocks, e.subheaders, e.residual) == (subs, heads, residual)
                 assert idx.sub_sizes[i] == list(map(len, subs))
-                assert idx.sub_residuals[i] == residual
+                assert _bit_ids(idx.residual_masks[i], bd.blocks[i]) == residual
                 for j, part in [*enumerate(subs), (-1, residual)]:
                     for r, x in enumerate(part):
                         want_of[x] = j
                         want_rank[x] = r
             assert idx.sub_of == want_of
             assert idx.sub_rank == want_rank
-
-
-def reference_tree(g, simple=False):
-    """The root of g's decomposition tree by the recursion it stands for:
-    blocks by :func:`walk_extract`, each split into chunks by
-    :func:`latticekit.cover_decompose`, each chunk of at least 2d members
-    block-decomposed again on its induced subgraph with block size
-    |chunk|/d.  ``simple`` gives the simple join index's one-level tree:
-    block size ceil(sqrt n), every chunk a leaf."""
-    g2, top, _ = lk.with_top(g)
-    n = g2.n
-    d = max(2, max(map(len, g2.in_neighbours)))
-    leaf_size = n + 1 if simple else 2 * d
-
-    def block(h, members):
-        return (h, tuple(chunk(c, m) for c, m in lk.cover_decompose(g2, members, h)),
-                None)
-
-    def chunk(me, members):
-        if len(members) < leaf_size:
-            return (me, None, tuple(members))
-        blocks, headers, residual, _ = walk_extract(
-            induced(g2, members), range(len(members)), -(-len(members) // d), members)
-        if residual:
-            if me not in residual:
-                raise lk.StructureError("chunk header must top the residual")
-            own = residual
-        else:
-            if headers[-1] != me:
-                raise lk.StructureError("chunk header must head the last block")
-            headers.pop()
-            own = blocks.pop()
-        kids = tuple(block(h, b) for h, b in zip(headers, blocks))
-        return (me, kids, block(me, own) if len(own) > 1 else None)
-
-    order = lk.linear_extension(g2).order
-    if not simple and n < 2 * d:
-        return (None, (chunk(top, order),), None)
-    blocks, headers, residual, _ = walk_extract(
-        g2.in_neighbours, order, ceil_sqrt(n) if simple else -(-n // d))
-    if residual:
-        if top not in residual:
-            raise lk.StructureError("a topped lattice leaves its top in the residual")
-        blocks.append(residual)
-        headers.append(top)
-    return (None, tuple(block(h, b) for h, b in zip(headers, blocks)), None)
 
 
 def outcome(build):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import latticekit as lk
-from conftest import bit_members
+from latticekit import decomposition
+from conftest import bit_members, block_sizes, package_modules
 
 
 def oracle_tables(g):
@@ -150,13 +151,9 @@ def test_in_block_rows_across_the_64_head_seam():
 
 @pytest.mark.parametrize("c_exp", [0.5, 0.75, 1.0])
 def test_meet_builds_copy_no_subgraph(monkeypatch, family_zoo, c_exp):
-    # subblocks come from the order index's bitsets and downsets from one
-    # pass per kind: a build extracts once per direction, its blocks only
-    from latticekit import decomposition
-
-    def refuse(*args):
-        raise AssertionError("a meet build copied an induced subgraph")
-
+    # subblocks come from the order index's bitsets: a build extracts once
+    # per direction, its blocks only, and the package has no subgraph copy
+    assert not [m for m in package_modules() if hasattr(m, "_induced")]
     calls = []
     extract = decomposition._extract_blocks
 
@@ -164,7 +161,6 @@ def test_meet_builds_copy_no_subgraph(monkeypatch, family_zoo, c_exp):
         calls.append(args[2])
         return extract(*args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "_induced", refuse)
     monkeypatch.setattr(decomposition, "_extract_blocks", counted)
     for spec, _ in family_zoo:
         g0 = lk.generate(spec)  # a fresh graph holds no order index yet
@@ -172,6 +168,27 @@ def test_meet_builds_copy_no_subgraph(monkeypatch, family_zoo, c_exp):
             calls.clear()
             lk.build_meet_index(g, c_exp)
             assert len(calls) == 2, (spec, calls)
+
+
+def test_one_downset_pass_per_direction(monkeypatch, family_zoo):
+    # the order index's pass is the only one: residual-subblock downsets
+    # are read off its local downsets
+    calls = []
+    passes = decomposition._downsets
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return passes(*args)
+
+    for m in package_modules():
+        if getattr(m, "_downsets", None) is passes:
+            monkeypatch.setattr(m, "_downsets", counted)
+    for spec, _ in family_zoo:
+        g0 = lk.generate(spec)  # a fresh graph holds no order index yet
+        for g in (g0, lk.flip(g0)):
+            calls.clear()
+            lk.build_meet_index(g, with_dual=False)
+            assert len(calls) == 1, (spec, calls)
 
 
 def test_c_out_of_range():
@@ -321,17 +338,27 @@ def test_diamond_candidates_small(diamond):
     assert stats.candidate_count <= 2
 
 
-def test_residual_downsets_and_pair_tables_match_references(family_zoo):
+def test_residual_downsets_and_pair_tables_match_references(family_zoo, random_orders):
+    # a residual subblock is up-closed in its block, so a member's downset
+    # there is its local downset masked with the residual's ranks, on any
+    # DAG the meet index builds on
+    graphs = [g for _, g0 in family_zoo for g in (g0, lk.flip(g0))] + random_orders
+    for g in graphs:
+        for k in block_sizes(g.n):
+            idx = lk.build_meet_index(g, with_dual=False, k=k)
+            for i, blk in enumerate(idx.bd.blocks):
+                entry = lk.subblock_decompose(g, idx.bd, i)
+                rset = set(entry.residual)
+                for r, x in enumerate(entry.residual):
+                    assert idx.sub_rank[x] == r
+                    assert bit_members(idx.order.down[x] & idx.residual_masks[i],
+                                       blk) == (
+                        lk.downset(g, x, restrict=rset)), (lk.format_trg(g), k, i, x)
     for spec, g in family_zoo:
         idx = lk.build_meet_index(g)
         c = oracle_tables(g)
         for i in range(idx.bd.m):
             entry = lk.subblock_decompose(g, idx.bd, i)
-            rset = set(entry.residual)
-            for r, x in enumerate(entry.residual):
-                assert idx.sub_rank[x] == r
-                assert bit_members(idx.residual_downsets[i][r], entry.residual) == (
-                    lk.downset(g, x, restrict=rset)), (spec, i, x)
             for j, sub in enumerate(entry.subblocks):
                 s = len(sub)
                 table = list(idx.pair_tables[i][j])
@@ -403,6 +430,15 @@ def test_no_index_holds_a_linear_extension(build):
     # member lists are kept in extension order, so no index stores one
     idx = build(lk.generate(lk.FamilySpec("random_distributive", 200, seed=12)))
     assert not [o for o in reachable(idx) if isinstance(o, lk.LinearExtension)]
+
+
+def test_wide_blocks_hold_one_downset_copy():
+    # M_w's one block holds every atom: a second store of downsets in the
+    # meet index would cost about as much as the order index's own
+    g = lk.generate(lk.FamilySpec("antichain_bounded", 1022))
+    idx = lk.build_meet_index(g, with_dual=False)
+    assert idx.bd.m == 1
+    assert held_bytes(idx, [g, idx.order]) < sum(map(sys.getsizeof, idx.order.down))
 
 
 def walked_and_traced(build, g) -> tuple[int, int]:

@@ -5,20 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # the header 2 covers 1, which lies outside the member set {0, 2}, so the
-# cover decomposition cannot partition it.  In the flip of the second graph
+# reference cover walk cannot partition it.  In the flip of the second graph
 # node 4 covers 2 and, through the redundant edge 4 3, also 3, which lies
 # below 2, so both join indexes' chunk claims must refuse it.  A block
 # reversed so that its header comes first has no subblock decomposition
 SCRIPT = """
 import sys
 import latticekit as lk
+from reference_walks import cover_decompose
 if __debug__:
     sys.exit("assertions are enabled; expected python -O")
 try:
-    lk.cover_decompose(lk.generate(lk.FamilySpec("chain", 3)), [0, 2], 2)
+    cover_decompose(lk.generate(lk.FamilySpec("chain", 3)), [0, 2], 2)
 except lk.StructureError:
     pass
 else:
@@ -48,7 +50,7 @@ sys.exit(0)
 def test_structure_checks_run_under_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        p for p in (str(SRC), str(TESTS), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
