@@ -102,9 +102,8 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _bit_ids(s: int, ids: list) -> list:
     """``ids[i]`` for every set bit i of ``s``, ascending.  The bits from
     the lowest set one up become a 0/1 byte string that selects from ``ids``,
-    so the cost follows the span of ``s``, not its highest bit.  A few bits
-    (the residual scans of a meet query) are peeled off one by one instead,
-    which costs less than building the byte string."""
+    so the cost follows the span of ``s``, not its highest bit; a few bits
+    are peeled off one by one, which costs less."""
     if s.bit_count() <= 10:
         out = []
         while s:

@@ -16,15 +16,14 @@ mask:
   up-closed in the block, and a member's downset inside it is the member's
   local downset (the order index's ``down``) masked with it.
 
-A meet query collects candidate lower bounds: every principal block
-contributes the in-block meet of the two representatives (when both
-representatives land in the block), and the residual block is scanned
-directly when both arguments live there.  Every candidate is a lower bound
-of the true meet, and the true meet always shows up among the candidates,
-so the maximum of the candidate set (by order tests) is the answer; an
-empty set means the meet does not exist.  The in-block subroutine repeats
-the same shape one level down, using the pair tables for same-subblock
-hits.
+Blocks are extracted as down-closed sets, so ordering nodes by (block,
+rank in block), the residual last, is a linear extension, and the meet is
+the last common lower bound in it; the same holds for subblocks inside a
+block.  A meet query scans down, x's local downset first when both
+arguments are residual, then the blocks from the lower argument's down to
+block 0, and answers with the first in-block meet; running out means the
+meet does not exist.  The in-block subroutine repeats the same shape one
+level down, with the pair tables for same-subblock hits.
 
 Subblocks are read off the order index's local downsets.  Subheader rows
 and pair tables come from its header-row dynamic program
@@ -98,15 +97,21 @@ class MeetIndex:
         return self.order.test_order(x, y, stats)
 
     def meet(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
-        """Greatest lower bound of x and y, or None if they have none; ids
-        outside [0, n) raise :class:`NodeIdError`."""
+        """Greatest lower bound of x and y, or None if they have none: the
+        first hit down x's residual downset, then down the blocks from the
+        lower argument's.  Ids outside [0, n) raise :class:`NodeIdError`."""
         if not (0 <= x < self.n and 0 <= y < self.n):
             raise NodeIdError(x, y, n=self.n)
         oi = self.order
         block_of = oi._block_of  # null ids fall in no principal block
         m = oi._m
-        candidates: list[int] = []
-        for i, row in enumerate(oi.header_meet):
+        if block_of[x] == m and block_of[y] == m:
+            z = self._scan_down(oi.down[x], self.bd.residual, y, stats)
+            if z is not None:
+                return z
+        rows = oi.header_meet
+        for i in range(min(block_of[x], block_of[y], m - 1), -1, -1):
+            row = rows[i]
             xi = row[x]
             yi = row[y]
             if stats is not None:
@@ -115,52 +120,64 @@ class MeetIndex:
                 continue
             z = self.meet_in_block(i, xi, yi, stats)
             if z is not None:
-                candidates.append(z)
-        if block_of[x] == m and block_of[y] == m:
-            # both residual: scan x's local downset for lower bounds of y
-            for z in _bit_ids(oi.down[x], self.bd.residual):
                 if stats is not None:
-                    stats.scanned_elements += 1
-                if oi.test_order(z, y, stats):
-                    candidates.append(z)
-        return self._maximum(candidates, stats)
+                    stats.candidate_count += 1
+                return z
+        return None
 
     def meet_in_block(self, i: int, xi: int, yi: int,
                       stats: QueryStats | None = None) -> int | None:
         """Meet of two members of principal block i, or None when that meet
-        exists only outside the block (or not at all)."""
+        exists only outside the block (or not at all): past the header, the
+        first hit down the residual subblock, then the subblocks."""
         header = self.bd.headers[i]
         if xi == header:
             return yi
         if yi == header:
             return xi
-        sizes = self.sub_sizes[i]
+        sub_of = self.sub_of
+        sx = sub_of[xi]
+        sy = sub_of[yi]
+        if sx == -1 and sy == -1:
+            z = self._scan_down(self.order.down[xi] & self.residual_masks[i],
+                                self.bd.blocks[i], yi, stats)
+            if z is not None:
+                return z
+        rows = self.subheader_meet[i]
+        last = len(rows) - 1
         rx = self.rank[xi]
         ry = self.rank[yi]
-        sub_of = self.sub_of
-        sub_rank = self.sub_rank
-        candidates: list[int] = []
-        for j, row in enumerate(self.subheader_meet[i]):
+        for j in range(min(last if sx < 0 else sx, last if sy < 0 else sy), -1, -1):
+            row = rows[j]
             xj = row[rx]
             yj = row[ry]
             if stats is not None:
                 stats.array_probes += 2
             if sub_of[xj] != j or sub_of[yj] != j:
                 continue
-            s = sizes[j]
-            z = self.pair_tables[i][j][sub_rank[xj] * s + sub_rank[yj]]
+            z = self.pair_tables[i][j][self.sub_rank[xj] * self.sub_sizes[i][j]
+                                       + self.sub_rank[yj]]
             if stats is not None:
                 stats.table_probes += 1
             if z != self.null:
-                candidates.append(z)
-        if sub_of[xi] == -1 and sub_of[yi] == -1:
-            for z in _bit_ids(self.order.down[xi] & self.residual_masks[i],
-                              self.bd.blocks[i]):
                 if stats is not None:
-                    stats.scanned_elements += 1
-                if self.order.test_order(z, yi, stats):
-                    candidates.append(z)
-        return self._maximum(candidates, stats)
+                    stats.candidate_count += 1
+                return z
+        return None
+
+    def _scan_down(self, s: int, ids: list, y: int,
+                   stats: QueryStats | None) -> int | None:
+        """The first ``ids[r] <= y`` over the set bits r of ``s``, highest first."""
+        while s:
+            r = s.bit_length() - 1
+            if stats is not None:
+                stats.scanned_elements += 1
+            if self.order.test_order(ids[r], y, stats):
+                if stats is not None:
+                    stats.candidate_count += 1
+                return ids[r]
+            s ^= 1 << r
+        return None
 
     def join(self, x: int, y: int, stats: QueryStats | None = None) -> int | None:
         """Least upper bound, answered by the dual index on the flipped graph
@@ -168,20 +185,6 @@ class MeetIndex:
         if self.dual is None:
             raise ValueError("index was built without a dual; joins unavailable")
         return self.dual.meet(x, y, stats)
-
-    def _maximum(self, candidates: list[int],
-                 stats: QueryStats | None) -> int | None:
-        """Largest element of a candidate set that is known to contain its own
-        upper bound (every candidate is below the true meet)."""
-        if stats is not None:
-            stats.candidate_count += len(candidates)
-        if not candidates:
-            return None
-        best = candidates[0]
-        for z in candidates[1:]:
-            if self.order.test_order(best, z, stats):
-                best = z
-        return best
 
     # -- accounting ------------------------------------------------------
 

@@ -26,6 +26,7 @@ class QueryStats:
     decompose the work: array cells read, bitset membership tests
     (``dict_probes``, named for the sets they once were), table cells
     read, and elements scanned from residual downsets and leaves.
+    ``candidate_count`` is the hits a meet returns, 0 or 1 per scan level.
     """
 
     order_tests: int = 0

@@ -270,25 +270,75 @@ def test_subheader_rows_match_restricted_oracle(family_zoo):
 
 
 def test_candidate_soundness(family_zoo):
-    for _, g in family_zoo:
+    # blocks are visited from the lower argument's block down; every block
+    # before the answering one yields no in-block meet, and the last hit is
+    # the oracle's meet (the join through the dual likewise)
+    for spec, g in family_zoo:
         idx = lk.build_meet_index(g)
         c = oracle_tables(g)
         rng = random.Random(8)
-        # every candidate set the meet (and its in-block meets) maximises
-        seen = []
-        maximum = idx._maximum
+        for part, query, expected in ((idx, idx.meet, lk.oracle_meet),
+                                      (idx.dual, idx.join, lk.oracle_join)):
+            calls = []
+            in_block = part.meet_in_block
 
-        def recording(candidates, stats):
-            seen.extend(candidates)
-            return maximum(candidates, stats)
+            def recording(i, xi, yi, stats=None):
+                z = in_block(i, xi, yi, stats)
+                calls.append((i, z))
+                return z
 
-        idx._maximum = recording
-        for _ in range(200):
-            x, y = rng.randrange(g.n), rng.randrange(g.n)
-            seen.clear()
-            idx.meet(x, y)
-            for z in seen:
-                assert c.leq(z, x) and c.leq(z, y)
+            part.meet_in_block = recording
+            block_of = part.bd.block_of
+            for _ in range(200):
+                x, y = rng.randrange(g.n), rng.randrange(g.n)
+                calls.clear()
+                answer = query(x, y)
+                assert answer == expected(c, x, y), (spec, x, y)
+                blocks = [i for i, _ in calls]
+                assert blocks == sorted(set(blocks), reverse=True), (spec, x, y)
+                assert not blocks or blocks[0] <= min(block_of[x], block_of[y])
+                assert all(z is None for _, z in calls[:-1]), (spec, x, y, calls)
+                if calls and calls[-1][1] is not None:
+                    assert calls[-1][1] == answer, (spec, x, y, calls)
+
+
+@pytest.mark.parametrize("c_exp", [0.5, 0.75, 1.0])
+def test_last_hit_exact_on_small_lattices(small_lattices, c_exp):
+    # the first hit down the blocks is the meet on every pair, at every c
+    for g0 in small_lattices:
+        for g in (g0, lk.flip(g0)):
+            c = oracle_tables(g)
+            idx = lk.build_meet_index(g, c_exp)
+            for x in range(g.n):
+                for y in range(g.n):
+                    assert idx.meet(x, y) == lk.oracle_meet(c, x, y), (lk.format_trg(g), x, y)
+                    assert idx.join(x, y) == lk.oracle_join(c, x, y), (lk.format_trg(g), x, y)
+
+
+def test_header_scan_starts_at_lower_argument_block(family_zoo):
+    # lower bounds of x lie in x's block or an earlier one, so a meet reads
+    # no header row above the lower argument's block
+    for spec, g in family_zoo:
+        idx = lk.build_meet_index(g)
+        block_of, m = idx.bd.block_of, idx.bd.m
+        in_block = idx.meet_in_block
+        stats = lk.QueryStats()
+        inner = [0]
+
+        def uncounted(i, xi, yi, st):
+            before = st.array_probes
+            z = in_block(i, xi, yi, st)
+            inner[0] += st.array_probes - before
+            return z
+
+        idx.meet_in_block = uncounted
+        for x in range(g.n):
+            for y in range(g.n):
+                stats.reset()
+                inner[0] = 0
+                idx.meet(x, y, stats)
+                rows = (stats.array_probes - inner[0]) // 2
+                assert rows <= min(block_of[x], block_of[y], m - 1) + 1, (spec, x, y)
 
 
 def test_pair_table_block_budget(family_zoo):
